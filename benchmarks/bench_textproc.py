@@ -1,8 +1,8 @@
-"""Throughput comparison of the compiled and pure tokenizer kernels.
+"""Throughput of the subtokenize kernel.
 
-Both kernels implement the same contract (see discforge._puretok); this
-script times them side by side on synthetic issue text so a regression in
-either one is easy to spot. Run from the repository root:
+Times discforge.textproc.subtokenize on synthetic issue text (prose words,
+identifiers and code fragments) so a regression in the kernel is easy to
+spot. Run from the repository root:
 
     python3 benchmarks/bench_textproc.py --chars 2000000
 """
@@ -11,12 +11,7 @@ import argparse
 import random
 import time
 
-from discforge import _puretok
-
-try:
-    from discforge import _speedups
-except ImportError:
-    _speedups = None
+from discforge import textproc
 
 
 _WORDS = [
@@ -53,7 +48,7 @@ def main():
     parser.add_argument("--chars", type=int, default=1_000_000,
                         help="approximate corpus size in characters")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="passes over the corpus per backend")
+                        help="passes over the corpus")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -62,25 +57,12 @@ def main():
     corpus_chars = sum(len(s) for s in lines)
     print(f"corpus: {len(lines)} lines, {corpus_chars} chars, {args.repeats} passes")
 
-    results = {}
-    backends = [("pure", _puretok)]
-    if _speedups is not None:
-        backends.insert(0, ("compiled", _speedups))
-    else:
-        print("compiled kernels not built; timing the pure backend only")
-
-    for name, kernel in backends:
-        # Warm-up pass so allocator and cache effects do not skew the first
-        # measured backend.
-        for line in lines[:200]:
-            kernel.subtokenize(line)
-        elapsed, n_tokens = bench(kernel, lines, args.repeats)
-        rate = corpus_chars * args.repeats / elapsed / 1e6
-        results[name] = elapsed
-        print(f"{name:>8}: {elapsed:6.2f}s  {rate:6.1f} MB/s  ({n_tokens} subtokens)")
-
-    if len(results) == 2:
-        print(f"speedup: {results['pure'] / results['compiled']:.2f}x")
+    # Warm-up pass so allocator and cache effects do not skew the timing.
+    for line in lines[:200]:
+        textproc.subtokenize(line)
+    elapsed, n_tokens = bench(textproc, lines, args.repeats)
+    rate = corpus_chars * args.repeats / elapsed / 1e6
+    print(f"subtokenize: {elapsed:6.2f}s  {rate:6.1f} MB/s  ({n_tokens} subtokens)")
 
 
 if __name__ == "__main__":

@@ -1,38 +1,41 @@
-"""Pure-Python tokenizer kernels.
+"""Tokenizer kernels.
 
-discforge.textproc prefers the compiled twins in discforge._speedups and
-falls back to these when the extension is unavailable. The two
-implementations must stay behaviorally identical; tests compare them
-token-for-token on randomized inputs.
+This is the only implementation of the tokenizer contract; discforge.textproc
+re-exports it. code_tokenize is one regular expression: Python's ``\\w`` is
+exactly ``str.isalnum() or "_"`` and its ``\\s`` is exactly ``str.isspace()``.
+subtokenize takes a single regular-expression pass over ASCII text. Text with
+any other character is split by code_tokenize, and each token is refined by
+that same pass if it is ASCII and by refine_token otherwise, because ``re``
+has no classes for Unicode lower case, upper case and digits. The tests hold
+every path to the original character loop token for token.
 """
 
 from __future__ import annotations
 
+import re
 
+_CODE_TOKEN = re.compile(r"\w+|[^\w\s]")
+
+# code_tokenize + refine_token in one pass, valid for ASCII text only. The
+# alternatives, in order: a capital run minus the capital that starts the
+# next word (HTMLParser -> HTML), an optionally capitalised lower-case run, a
+# capital run, a digit run, an underscore run that is a whole word token
+# (refine_token keeps those intact), and one punctuation character.
+# Underscores inside a word token match nothing, so they are dropped.
+_ASCII_SUBTOKEN = re.compile(
+    r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+|(?<!\w)_+(?!\w)|[^\w\s]"
+)
+
+
+# A def, not a bound findall: a bound method has no __module__, and the
+# benchmark's tracer attributes calls by the module that defines them.
 def code_tokenize(text: str) -> list[str]:
     """Split text into word tokens and standalone punctuation tokens.
 
     Word characters are alphanumerics plus underscore; every other
     non-space character becomes its own single-character token.
     """
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            tokens.append(ch)
-            i += 1
-    return tokens
+    return _CODE_TOKEN.findall(text)
 
 
 def refine_token(token: str) -> list[str]:
@@ -74,7 +77,9 @@ def refine_token(token: str) -> list[str]:
 
 def subtokenize(text: str) -> list[str]:
     """code_tokenize, then refine every token."""
+    if text.isascii():
+        return _ASCII_SUBTOKEN.findall(text)
     out = []
     for tok in code_tokenize(text):
-        out.extend(refine_token(tok))
+        out.extend(_ASCII_SUBTOKEN.findall(tok) if tok.isascii() else refine_token(tok))
     return out

@@ -23,7 +23,12 @@ from .records import (
     Discussion,
     Segment,
 )
-from .textproc import process_discussion_text, subtokenize, truncate_from_end
+from .textproc import (
+    concat_with_separator,
+    process_discussion_text,
+    subtokenize,
+    truncate_from_end,
+)
 
 
 class ContextSkip(Exception):
@@ -73,15 +78,8 @@ def _assemble(code_parts, labeled_parts, token_limit):
     separators); a segment the truncation cuts into is clipped, one past
     the budget is dropped.
     """
-    tokens: list[str] = []
+    tokens = concat_with_separator(code_parts, SEPARATOR)
     segments: list[Segment] = []
-    for part in code_parts:
-        part = list(part)
-        if not part:
-            continue
-        if tokens:
-            tokens.append(SEPARATOR)
-        tokens.extend(part)
     for ref, part in labeled_parts:
         part = list(part)
         if not part:

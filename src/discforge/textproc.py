@@ -1,10 +1,8 @@
 """Text tokenization and discussion-text normalization.
 
-The tokenizer kernels come in two interchangeable flavors: a compiled
-extension (discforge._speedups) and a pure-Python twin
-(discforge._puretok). The compiled one is used when importable;
-KERNEL_BACKEND says which is active. benchmarks/bench_textproc.py
-compares the two.
+The tokenizer kernels live in discforge._puretok, a pure-Python module with
+a regular-expression fast path for ASCII text; this module re-exports them.
+benchmarks/bench_textproc.py measures their throughput.
 """
 
 from __future__ import annotations
@@ -12,21 +10,12 @@ from __future__ import annotations
 import logging
 import re
 
-from . import _puretok
+from ._puretok import code_tokenize, refine_token, subtokenize
 
-try:
-    from . import _speedups as _kernels
-
-    KERNEL_BACKEND = "compiled"
-except ImportError:
-    _kernels = _puretok
-    KERNEL_BACKEND = "pure"
+# Only one kernel exists; the name stays because benchmark reports key on it.
+KERNEL_BACKEND = "pure"
 
 log = logging.getLogger(__name__)
-
-code_tokenize = _kernels.code_tokenize
-refine_token = _kernels.refine_token
-subtokenize = _kernels.subtokenize
 
 _LINK = re.compile(r"!?\[([^\]]*)\]\(\s*(\S+?)(?:\s+\"[^\"]*\")?\s*\)")
 _HEADER = re.compile(r"^\s{0,3}#{1,6}\s+")

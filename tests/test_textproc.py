@@ -6,9 +6,7 @@ import string
 
 import pytest
 
-from discforge import _puretok, textproc
 from discforge.textproc import (
-    KERNEL_BACKEND,
     code_tokenize,
     concat_with_separator,
     process_discussion_text,
@@ -91,25 +89,73 @@ class TestSubtokenize:
     def test_punctuation_untouched(self):
         assert subtokenize("a.b") == ["a", ".", "b"]
 
+    def test_non_ascii_text(self):
+        assert subtokenize("Use “HTMLParser” in café_au_lait2 ___") == [
+            "Use", "“", "HTML", "Parser", "”", "in", "café", "au", "lait", "2", "___",
+        ]
 
-@pytest.mark.skipif(KERNEL_BACKEND != "compiled", reason="compiled kernels unavailable")
-class TestBackendParity:
-    """The compiled and pure kernels must agree token-for-token."""
+
+def _loop_code_tokenize(text):
+    """The original character-loop code_tokenize, kept as the reference."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isalnum() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            tokens.append(ch)
+            i += 1
+    return tokens
+
+
+def _loop_subtokenize(text):
+    return [piece for tok in _loop_code_tokenize(text) for piece in refine_token(tok)]
+
+
+class TestKernelParity:
+    """The regex kernels must agree token-for-token with the character loop."""
+
+    def _assert_parity(self, s):
+        assert code_tokenize(s) == _loop_code_tokenize(s), repr(s)
+        assert subtokenize(s) == _loop_subtokenize(s), repr(s)
 
     def test_randomized_inputs(self):
         rng = random.Random(1234)
         pool = string.printable + "éÜßµ日本語²①_"
         for _ in range(3000):
-            s = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 60)))
-            assert textproc.code_tokenize(s) == _puretok.code_tokenize(s), repr(s)
-            assert textproc.subtokenize(s) == _puretok.subtokenize(s), repr(s)
+            self._assert_parity(
+                "".join(rng.choice(pool) for _ in range(rng.randrange(0, 60)))
+            )
 
     def test_refine_parity(self):
         rng = random.Random(99)
         pool = string.ascii_letters + string.digits + "_ßÜé"
         for _ in range(2000):
-            t = "".join(rng.choice(pool) for _ in range(rng.randrange(1, 24)))
-            assert textproc.refine_token(t) == _puretok.refine_token(t), repr(t)
+            self._assert_parity(
+                "".join(rng.choice(pool) for _ in range(rng.randrange(1, 24)))
+            )
+
+    def test_every_ascii_character(self):
+        rng = random.Random(7)
+        pool = [chr(c) for c in range(128)] + ["_", "__", "___"]
+        for ch in pool:
+            self._assert_parity(ch)
+        for _ in range(5000):
+            self._assert_parity(
+                "".join(rng.choice(pool) for _ in range(rng.randrange(0, 40)))
+            )
+
+    def test_every_bmp_code_point(self):
+        self._assert_parity("".join(map(chr, range(0x10000))))
 
 
 class TestProcessDiscussionText:

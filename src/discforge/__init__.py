@@ -52,7 +52,6 @@ from .storage import (
 from .textproc import (
     KERNEL_BACKEND,
     code_tokenize,
-    concat_with_separator,
     process_discussion_text,
     refine_token,
     subtokenize,
@@ -82,7 +81,6 @@ __all__ = [
     "best_exact_match",
     "build_context",
     "code_tokenize",
-    "concat_with_separator",
     "corpus_exact_match",
     "dataset_stats",
     "enumerate_segment_contexts",

@@ -10,6 +10,7 @@ sloppily.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,7 @@ from .records import (
     Discussion,
     Segment,
 )
-from .textproc import (
-    concat_with_separator,
-    process_discussion_text,
-    subtokenize,
-    truncate_from_end,
-)
+from .textproc import process_discussion_text, subtokenize, truncate_from_end
 
 
 class ContextSkip(Exception):
@@ -71,17 +67,18 @@ def _labeled_nl_parts(discussions):
     return parts
 
 
-def _assemble(code_parts, labeled_parts, token_limit):
-    """Concatenate with separators, truncate, and track NL segment spans.
+def _assemble(example, labeled_parts, token_limit):
+    """Lay out ``buggy <s> method <s> NL...``, truncate, and track NL spans.
 
-    Returns (tokens, segments). Empty parts vanish (no doubled
-    separators); a segment the truncation cuts into is clipped, one past
-    the budget is dropped.
+    labeled_parts are (SegmentRef or None, tokens) pairs. Returns (tokens,
+    segments). Empty parts vanish, so exactly one separator sits between
+    the parts that remain; only parts with a ref get a span. A segment the
+    truncation cuts into is clipped, one past the budget is dropped.
     """
-    tokens = concat_with_separator(code_parts, SEPARATOR)
+    tokens: list[str] = []
     segments: list[Segment] = []
-    for ref, part in labeled_parts:
-        part = list(part)
+    code = [(None, example.buggy_tokens), (None, example.method_tokens)]
+    for ref, part in [*code, *labeled_parts]:
         if not part:
             continue
         if tokens:
@@ -132,7 +129,7 @@ def build_context(
     elif kind == "oracle_msg":
         if not example.oracle_msg_tokens:
             raise ContextSkip("no oracle commit message")
-        nl_parts = [(None, list(example.oracle_msg_tokens))]
+        nl_parts = [(None, example.oracle_msg_tokens)]
     elif kind == "whole_discussion":
         if not prepared:
             raise ContextSkip("no discussions")
@@ -149,7 +146,7 @@ def build_context(
             raise ContextSkip("no utterance survives the temporal filter")
     elif kind == "soln_desc":
         by_disc = _descriptions_for(example, descriptions)
-        nl_parts = [(None, list(by_disc[d.id])) for d in prepared if d.id in by_disc]
+        nl_parts = [(None, by_disc[d.id]) for d in prepared if d.id in by_disc]
         if not nl_parts:
             raise ContextSkip("no solution description")
     elif kind == "soln_desc_plus_title":
@@ -159,7 +156,7 @@ def build_context(
         nl_parts = []
         for d in prepared:
             if d.id in by_disc:
-                nl_parts.append((None, list(by_disc[d.id])))
+                nl_parts.append((None, by_disc[d.id]))
             nl_parts.append((None, title_tokens(d)))
     elif kind == "attended_segments":
         if traces is None:
@@ -183,9 +180,7 @@ def build_context(
     else:
         raise AssertionError(f"unhandled kind {kind!r}")
 
-    tokens, _ = _assemble(
-        [example.buggy_tokens, example.method_tokens], nl_parts, spec.token_limit
-    )
+    tokens, _ = _assemble(example, nl_parts, spec.token_limit)
     return tokens
 
 
@@ -200,11 +195,7 @@ def layout_whole_discussion(
     mapped back to titles and utterances.
     """
     prepared = prepare_discussions(example, discussions)
-    return _assemble(
-        [example.buggy_tokens, example.method_tokens],
-        _labeled_nl_parts(prepared),
-        spec.token_limit,
-    )
+    return _assemble(example, _labeled_nl_parts(prepared), spec.token_limit)
 
 
 def extract_attended_segments(trace: AttentionTrace) -> list[Segment]:
@@ -223,14 +214,7 @@ def extract_attended_segments(trace: AttentionTrace) -> list[Segment]:
     seen = set()
     for t in winners.tolist():
         # Rightmost segment starting at or before t, if t falls inside it.
-        lo, hi = 0, len(starts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if starts[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        idx = lo - 1
+        idx = bisect.bisect_right(starts, t) - 1
         if idx < 0:
             continue
         seg = trace.segments[idx]
@@ -254,14 +238,8 @@ def enumerate_segment_contexts(
     skipped; an example with no discussions enumerates to [].
     """
     prepared = prepare_discussions(example, discussions)
-    out = []
-    for ref, toks in _labeled_nl_parts(prepared):
-        if not toks:
-            continue
-        tokens, _ = _assemble(
-            [example.buggy_tokens, example.method_tokens],
-            [(ref, toks)],
-            token_limit,
-        )
-        out.append((ref, tokens))
-    return out
+    return [
+        (ref, _assemble(example, [(None, toks)], token_limit)[0])
+        for ref, toks in _labeled_nl_parts(prepared)
+        if toks
+    ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linking import prepare_discussions
-from .records import SPLITS, make_eval_report
+from .records import SPLITS, EvalReport
 from .textproc import code_tokenize
 
 
@@ -48,7 +48,7 @@ def corpus_exact_match(examples, candidates, *, representation="", raw_strings=F
         if raw_strings:
             tokens = code_tokenize(" ".join(tokens))
         per_example[ex.id] = exact_match(tokens, ex.fixed_tokens)
-    return make_eval_report(representation, per_example, missing)
+    return EvalReport(representation, per_example, missing)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .records import (
     Discussion,
     RecordError,
     Utterance,
-    is_hex_sha,
     normalize_timestamp,
 )
 from .storage import save_discussions, save_links
@@ -439,32 +438,6 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
         unique.append(ev)
     unique.sort(key=lambda e: (e.project, e.issue_number, e.commit_sha, e.link_source))
     return unique
-
-
-def load_commit_records(path):
-    """Read a commits file: JSONL of {sha, message[, timestamp]} or one JSON mapping."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict) and obj and all(is_hex_sha(k) for k in obj):
-            return obj
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"invalid JSON: {exc}", line=lineno) from None
-        if "sha" not in rec:
-            raise RecordError("missing", line=lineno, field="sha")
-        records.append(rec)
-    return records
 
 
 def mine_projects(

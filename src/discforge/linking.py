@@ -9,6 +9,7 @@ the fix for the link to make sense at all.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import logging
 
@@ -20,18 +21,17 @@ log = logging.getLogger(__name__)
 def temporal_filter(discussion: Discussion, cutoff: str) -> Discussion:
     """Drop utterances at or after the cutoff timestamp.
 
-    The title survives unconditionally. Surviving utterances are
-    re-indexed 0..n-1 and last_activity_at is recomputed.
+    The title survives unconditionally. Utterances are sorted by time and
+    indexed 0..n-1 (Discussion guarantees both), so the survivors are a
+    prefix that keeps its indexes; last_activity_at is recomputed.
     """
     cutoff = normalize_timestamp(cutoff)
-    kept = [u for u in discussion.utterances if u.created_at < cutoff]
-    if len(kept) == len(discussion.utterances):
+    utts = discussion.utterances
+    keep = bisect.bisect_left(utts, cutoff, key=lambda u: u.created_at)
+    if keep == len(utts):
         return discussion
-    reindexed = tuple(
-        dataclasses.replace(u, index=pos) for pos, u in enumerate(kept)
-    )
     return dataclasses.replace(
-        discussion, utterances=reindexed, last_activity_at=None
+        discussion, utterances=utts[:keep], last_activity_at=None
     )
 
 

@@ -553,30 +553,28 @@ class Candidate:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Exact-match outcome of one candidate source against the references."""
+    """Exact-match outcome of one candidate source against the references.
+
+    ``n`` and ``exact_match_rate`` are derived from ``per_example``.
+    """
 
     representation: str
     per_example: dict = field(default_factory=dict)
-    exact_match_rate: float = 0.0
-    n: int = 0
     missing: int = 0
 
     def __post_init__(self):
         _check_str(self.representation, "representation", allow_blank=True)
-        if self.n != len(self.per_example):
-            raise RecordError(
-                f"n={self.n} but per_example has {len(self.per_example)} entries",
-                field="n",
-            )
-        if self.n:
-            expected = round(100.0 * sum(bool(v) for v in self.per_example.values()) / self.n, 1)
-        else:
-            expected = 0.0
-        if self.exact_match_rate != expected:
-            raise RecordError(
-                f"exact_match_rate {self.exact_match_rate} != {expected} derived from per_example",
-                field="exact_match_rate",
-            )
+
+    @property
+    def n(self) -> int:
+        return len(self.per_example)
+
+    @property
+    def exact_match_rate(self) -> float:
+        if not self.per_example:
+            return 0.0
+        matches = sum(bool(v) for v in self.per_example.values())
+        return round(100.0 * matches / self.n, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -607,15 +605,3 @@ def record_digest(path) -> str:
             h.update(chunk)
     return h.hexdigest()
 
-
-def make_eval_report(representation, per_example, missing=0) -> EvalReport:
-    """Build an EvalReport with the rate derived from the outcomes."""
-    n = len(per_example)
-    rate = round(100.0 * sum(bool(v) for v in per_example.values()) / n, 1) if n else 0.0
-    return EvalReport(
-        representation=representation,
-        per_example=dict(per_example),
-        exact_match_rate=rate,
-        n=n,
-        missing=missing,
-    )

@@ -59,23 +59,6 @@ def process_discussion_text(text: str) -> list[str]:
     return subtokenize("\n".join(kept))
 
 
-def concat_with_separator(parts, separator: str) -> list[str]:
-    """Join token lists with a single separator token between them.
-
-    Empty parts are skipped entirely, so the output never starts or ends
-    with the separator and never repeats it.
-    """
-    out: list[str] = []
-    for part in parts:
-        part = list(part)
-        if not part:
-            continue
-        if out:
-            out.append(separator)
-        out.extend(part)
-    return out
-
-
 def truncate_from_end(tokens, limit: int) -> list[str]:
     """Keep at most `limit` tokens, discarding from the end."""
     if limit < 0:

@@ -1,4 +1,6 @@
-"""Context rendering: every representation, truncation, attended segments."""
+"""Context rendering: every representation, layout, truncation, attended segments."""
+
+import random
 
 import pytest
 
@@ -213,6 +215,93 @@ class TestLayout:
         spans = [(s.token_start, s.token_end) for s in segments]
         # the title fits, the first utterance is clipped at 11, the rest vanish
         assert spans == [(4, 9), (10, 11)]
+
+
+class TestSeparatorLayout:
+    """One <s> between the parts that survive; empty parts vanish."""
+
+    @pytest.fixture
+    def with_empty_utterance(self):
+        # "---" is a markdown rule: the utterance normalizes to no tokens.
+        d = make_discussion(
+            title="Broken",
+            utterances=[
+                make_utterance(0, "2014-05-01T10:00:00Z", "first"),
+                make_utterance(1, "2014-05-02T10:00:00Z", "---"),
+                make_utterance(2, "2014-05-03T10:00:00Z", "last"),
+            ],
+        )
+        ex = make_example(
+            buggy=("a",), fixed=("z",), method=("b", "c"), discussion_ids=(d.id,)
+        )
+        return ex, {d.id: d}
+
+    def test_code_parts_joined_by_one_separator(self, with_empty_utterance):
+        ex, discs = with_empty_utterance
+        assert build_context(ex, spec("without_nl"), discs) == ["a", "<s>", "b", "c"]
+
+    def test_empty_utterance_vanishes(self, with_empty_utterance):
+        ex, discs = with_empty_utterance
+        tokens, segments = layout_whole_discussion(ex, spec("whole_discussion"), discs)
+        assert tokens == [
+            "a", "<s>", "b", "c", "<s>", "Broken", "<s>", "first", "<s>", "last",
+        ]
+        assert [s.utterance_index for s in segments] == [None, 0, 2]
+
+    def test_empty_description_vanishes(self, with_empty_utterance):
+        ex, discs = with_empty_utterance
+        descriptions = {ex.id: [("demo/proj#1", ())]}
+        out = build_context(
+            ex, spec("soln_desc_plus_title"), discs, descriptions=descriptions
+        )
+        assert out == ["a", "<s>", "b", "c", "<s>", "Broken"]
+
+    def test_empty_last_part_leaves_no_trailing_separator(self):
+        d = make_discussion(utterances=[make_utterance(0, body="```\n```")])
+        ex = make_example(buggy=("a",), fixed=("z",), method=("b",), discussion_ids=(d.id,))
+        out = build_context(ex, spec("last_utterance"), {d.id: d})
+        assert out == ["a", "<s>", "b"]
+
+    def test_never_starts_ends_or_doubles_the_separator(self):
+        rng = random.Random(5)
+        bodies = ["---", "", "word", "two words", "```\n```", "> quoted"]
+        kinds = ["whole_discussion", "title", "last_utterance", "soln_desc_plus_title"]
+        for trial in range(200):
+            discs = {}
+            for n in range(1, rng.randrange(1, 4) + 1):
+                times = sorted(
+                    f"2014-05-{rng.randrange(1, 20):02d}T10:00:00Z"
+                    for _ in range(rng.randrange(0, 4))
+                )
+                d = make_discussion(
+                    disc_id=f"demo/proj#{n}",
+                    number=n,
+                    utterances=[
+                        make_utterance(i, t, rng.choice(bodies))
+                        for i, t in enumerate(times)
+                    ],
+                )
+                discs[d.id] = d
+            ex = make_example(
+                buggy=("a",), fixed=("z",), method=("b",), discussion_ids=tuple(discs)
+            )
+            descriptions = {
+                ex.id: [(i, ("d",) * rng.randrange(0, 2)) for i in discs]
+            }
+            for kind in kinds:
+                try:
+                    out = build_context(ex, spec(kind), discs, descriptions=descriptions)
+                except ContextSkip:
+                    continue
+                assert out[0] != "<s>" and out[-1] != "<s>", (trial, kind, out)
+                for left, right in zip(out, out[1:]):
+                    assert not (left == "<s>" and right == "<s>"), (trial, kind, out)
+
+    @pytest.mark.parametrize("limit", [11, 1024])
+    def test_layout_tokens_equal_whole_discussion_context(self, scenario, limit):
+        ex, discs = scenario
+        tokens, _ = layout_whole_discussion(ex, spec("whole_discussion", limit), discs)
+        assert tokens == build_context(ex, spec("whole_discussion", limit), discs)
 
 
 def make_trace(segments, argmax_positions, n):

@@ -10,7 +10,6 @@ from discforge.ingest import (
     RawIssueArchive,
     extract_commit_links,
     fetch_issues,
-    load_commit_records,
     mine_projects,
     normalize_issue,
     project_dirname,
@@ -358,26 +357,6 @@ class TestExtractCommitLinks:
             {SHA1: {"message": "fixes #4", "timestamp": "2014-05-10T12:00:00Z"}},
         )
         assert links[0].issue_number == 4
-
-
-class TestCommitRecordsFile:
-    def test_jsonl_form(self, tmp_path):
-        path = tmp_path / "commits.jsonl"
-        path.write_text(
-            json.dumps({"sha": SHA1, "message": "m"}) + "\n", encoding="utf-8"
-        )
-        assert load_commit_records(path) == [{"sha": SHA1, "message": "m"}]
-
-    def test_mapping_form(self, tmp_path):
-        path = tmp_path / "commits.json"
-        path.write_text(json.dumps({SHA1: "msg"}), encoding="utf-8")
-        assert load_commit_records(path) == {SHA1: "msg"}
-
-    def test_missing_sha_reports_line(self, tmp_path):
-        path = tmp_path / "commits.jsonl"
-        path.write_text('{"message": "m"}\n', encoding="utf-8")
-        with pytest.raises(RecordError, match="sha"):
-            load_commit_records(path)
 
 
 class TestMineProjects:

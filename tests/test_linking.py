@@ -45,6 +45,7 @@ class TestTemporalFilter:
         )
         out = temporal_filter(d, "2014-05-10T00:00:00Z")
         assert [u.index for u in out.utterances] == [0, 1]
+        assert all(a is b for a, b in zip(out.utterances, d.utterances[:2]))
 
     def test_last_activity_recomputed(self):
         d = disc_with_times(["2014-05-01T10:00:00Z", "2014-05-20T10:00:00Z"])

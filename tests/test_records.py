@@ -9,10 +9,10 @@ from discforge.records import (
     Candidate,
     CommitLinkEvent,
     Discussion,
+    EvalReport,
     RecordError,
     Segment,
     ContextSpec,
-    make_eval_report,
     normalize_timestamp,
 )
 
@@ -186,10 +186,10 @@ class TestMisc:
         assert Candidate.from_dict(c.to_dict()) == c
 
     def test_eval_report_rate_is_derived(self):
-        r = make_eval_report("title", {"a": True, "b": False, "c": True})
+        r = EvalReport("title", {"a": True, "b": False, "c": True})
         assert r.exact_match_rate == 66.7
         assert r.n == 3
 
     def test_rate_formula_matches_known_corpus_ratio(self):
         per = {str(i): i < 106 for i in range(293)}
-        assert make_eval_report("x", per).exact_match_rate == 36.2
+        assert EvalReport("x", per).exact_match_rate == 36.2

@@ -1,4 +1,4 @@
-"""Tokenizer kernels, markdown normalization, concatenation, truncation."""
+"""Tokenizer kernels, markdown normalization, truncation."""
 
 import logging
 import random
@@ -8,7 +8,6 @@ import pytest
 
 from discforge.textproc import (
     code_tokenize,
-    concat_with_separator,
     process_discussion_text,
     refine_token,
     subtokenize,
@@ -208,32 +207,6 @@ class TestProcessDiscussionText:
     def test_non_string_rejected(self):
         with pytest.raises(TypeError):
             process_discussion_text(None)
-
-
-class TestConcatWithSeparator:
-    def test_basic(self):
-        assert concat_with_separator([["a"], ["b", "c"]], "<s>") == ["a", "<s>", "b", "c"]
-
-    def test_empty_parts_skipped(self):
-        assert concat_with_separator([[], ["a"], [], ["b"], []], "<s>") == [
-            "a", "<s>", "b",
-        ]
-
-    def test_no_parts(self):
-        assert concat_with_separator([], "<s>") == []
-
-    def test_single_part_has_no_separator(self):
-        assert concat_with_separator([["x", "y"]], "<s>") == ["x", "y"]
-
-    def test_never_doubles_the_separator(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            parts = [["t"] * rng.randrange(0, 3) for _ in range(rng.randrange(0, 6))]
-            out = concat_with_separator(parts, "<s>")
-            for left, right in zip(out, out[1:]):
-                assert not (left == "<s>" and right == "<s>")
-            if out:
-                assert out[0] != "<s>" and out[-1] != "<s>"
 
 
 class TestTruncateFromEnd:

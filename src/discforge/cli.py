@@ -26,7 +26,6 @@ from .evaluate import (
     best_exact_match,
     corpus_exact_match,
     dataset_stats,
-    exact_match,
     paired_bootstrap,
 )
 from .linking import attach_discussions
@@ -292,13 +291,9 @@ def _cmd_context(args) -> tuple[int, dict]:
             log.warning("example %s: %s", ex.id, exc)
             continue
         rows.append({"example_id": ex.id, "repr": spec.kind, "input_tokens": tokens})
-    with open(args.out, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False) + "\n")
+    storage.write_jsonl(args.out, rows)
     if args.skipped:
-        with open(args.skipped, "w", encoding="utf-8") as f:
-            for row in skipped:
-                f.write(json.dumps(row, ensure_ascii=False) + "\n")
+        storage.write_jsonl(args.skipped, skipped)
     print(
         f"built {len(rows)} {spec.kind} contexts "
         f"({len(skipped)} skipped, {failures} failed)"
@@ -310,21 +305,18 @@ def _cmd_context(args) -> tuple[int, dict]:
 def _cmd_segments(args) -> tuple[int, dict]:
     examples = storage.load_dataset(args.dataset)
     discussions = storage.load_discussions(args.discussions)
-    n = 0
-    with open(args.out, "w", encoding="utf-8") as f:
-        for ex in examples:
-            for ref, tokens in enumerate_segment_contexts(
-                ex, discussions, token_limit=args.limit
-            ):
-                row = {
-                    "example_id": ex.id,
-                    "discussion_id": ref.discussion_id,
-                    "kind": ref.kind,
-                    "utterance_index": ref.utterance_index,
-                    "input_tokens": tokens,
-                }
-                f.write(json.dumps(row, ensure_ascii=False) + "\n")
-                n += 1
+    rows = (
+        {
+            "example_id": ex.id,
+            "discussion_id": ref.discussion_id,
+            "kind": ref.kind,
+            "utterance_index": ref.utterance_index,
+            "input_tokens": tokens,
+        }
+        for ex in examples
+        for ref, tokens in enumerate_segment_contexts(ex, discussions, token_limit=args.limit)
+    )
+    n = storage.write_jsonl(args.out, rows)
     print(f"rendered {n} segment contexts for {len(examples)} examples")
     return 0, {"segments": n}
 
@@ -346,14 +338,6 @@ def _cmd_eval(args) -> tuple[int, dict]:
     return 0, {"exact_match_rate": report.exact_match_rate, "n": report.n}
 
 
-def _outcomes(examples, candidates):
-    out = {}
-    for ex in examples:
-        cand = candidates.get(ex.id)
-        out[ex.id] = bool(cand) and exact_match(cand.candidate_tokens, ex.fixed_tokens)
-    return out
-
-
 def _cmd_compare(args) -> tuple[int, dict]:
     examples = storage.load_dataset(args.refs)
     cand_a = storage.load_candidates(args.cand_a)
@@ -363,11 +347,8 @@ def _cmd_compare(args) -> tuple[int, dict]:
         examples = [ex for ex in examples if ex.id in shared]
         if not examples:
             raise ValueError("--shared-only left no examples to compare")
-    out_a = _outcomes(examples, cand_a)
-    out_b = _outcomes(examples, cand_b)
-    ids = [ex.id for ex in examples]
-    vec_a = [out_a[i] for i in ids]
-    vec_b = [out_b[i] for i in ids]
+    vec_a = list(corpus_exact_match(examples, cand_a).per_example.values())
+    vec_b = list(corpus_exact_match(examples, cand_b).per_example.values())
     label_a, label_b = args.cand_a, args.cand_b
     swapped = False
     if sum(vec_a) < sum(vec_b):

@@ -21,11 +21,7 @@ from .textproc import code_tokenize
 
 def exact_match(candidate_tokens, reference_tokens) -> bool:
     """Token-for-token equality."""
-    candidate_tokens = list(candidate_tokens)
-    reference_tokens = list(reference_tokens)
-    return len(candidate_tokens) == len(reference_tokens) and all(
-        c == r for c, r in zip(candidate_tokens, reference_tokens)
-    )
+    return tuple(candidate_tokens) == tuple(reference_tokens)
 
 
 def corpus_exact_match(examples, candidates, *, representation="", raw_strings=False):
@@ -199,37 +195,38 @@ def _code_len(tokens) -> int:
     return len(code_tokenize(" ".join(tokens)))
 
 
-def _stats_for(examples, discussions, descriptions):
-    buggy, fixed, oracle, desc = [], [], [], []
-    titles, utt_lens, utt_counts = [], [], []
-    disc_counts = []
-    distinct_discussions = set()
-    for ex in examples:
-        buggy.append(_code_len(ex.buggy_tokens))
-        fixed.append(_code_len(ex.fixed_tokens))
-        if ex.oracle_msg_tokens:
-            oracle.append(_code_len(ex.oracle_msg_tokens))
-        for _, tokens in (descriptions or {}).get(ex.id, ()):
-            desc.append(_code_len(tokens))
-        prepared = prepare_discussions(ex, discussions)
-        disc_counts.append(len(prepared))
-        for d in prepared:
-            distinct_discussions.add(d.id)
-            titles.append(len(code_tokenize(d.title)))
-            utt_counts.append(len(d.utterances))
-            for u in d.utterances:
-                utt_lens.append(len(code_tokenize(u.body_raw)))
+def _measure(ex, discussions, descriptions) -> dict:
+    """One example's token lengths and linked discussions, for dataset_stats."""
+    prepared = prepare_discussions(ex, discussions)
     return {
-        "num_examples": len(examples),
-        "num_linked_discussions": len(distinct_discussions),
-        "avg_discussions_per_example": _avg(disc_counts),
-        "avg_utterances_per_discussion": _avg(utt_counts),
-        "avg_tokens_buggy": _avg(buggy),
-        "avg_tokens_fixed": _avg(fixed),
-        "avg_tokens_title": _avg(titles),
-        "avg_tokens_utterance": _avg(utt_lens),
-        "avg_tokens_oracle_msg": _avg(oracle),
-        "avg_tokens_description": _avg(desc),
+        "split": ex.split,
+        "ids": [d.id for d in prepared],
+        "discussions": [len(prepared)],
+        "utterances": [len(d.utterances) for d in prepared],
+        "buggy": [_code_len(ex.buggy_tokens)],
+        "fixed": [_code_len(ex.fixed_tokens)],
+        "title": [len(code_tokenize(d.title)) for d in prepared],
+        "utterance": [len(code_tokenize(u.body_raw)) for d in prepared for u in d.utterances],
+        "oracle_msg": [_code_len(ex.oracle_msg_tokens)] if ex.oracle_msg_tokens else [],
+        "description": [_code_len(t) for _, t in (descriptions or {}).get(ex.id, ())],
+    }
+
+
+def _summary(rows) -> dict:
+    def avg(key):
+        return _avg([v for row in rows for v in row[key]])
+
+    return {
+        "num_examples": len(rows),
+        "num_linked_discussions": len({i for row in rows for i in row["ids"]}),
+        "avg_discussions_per_example": avg("discussions"),
+        "avg_utterances_per_discussion": avg("utterances"),
+        "avg_tokens_buggy": avg("buggy"),
+        "avg_tokens_fixed": avg("fixed"),
+        "avg_tokens_title": avg("title"),
+        "avg_tokens_utterance": avg("utterance"),
+        "avg_tokens_oracle_msg": avg("oracle_msg"),
+        "avg_tokens_description": avg("description"),
     }
 
 
@@ -239,10 +236,15 @@ def dataset_stats(examples, discussions, *, descriptions=None) -> dict:
     Utterance and discussion numbers reflect the temporal filter (content
     at or after each example's fixing commit is not counted), so the stats
     describe what a model could actually see. Token lengths use
-    code_tokenize over the underlying text.
+    code_tokenize over the underlying text. Each example is measured once;
+    the overall and per-split figures aggregate the same rows in example
+    order.
     """
-    out = {"overall": _stats_for(examples, discussions, descriptions), "splits": {}}
-    for split in SPLITS:
-        subset = [ex for ex in examples if ex.split == split]
-        out["splits"][split] = _stats_for(subset, discussions, descriptions)
-    return out
+    rows = [_measure(ex, discussions, descriptions) for ex in examples]
+    return {
+        "overall": _summary(rows),
+        "splits": {
+            split: _summary([row for row in rows if row["split"] == split])
+            for split in SPLITS
+        },
+    }

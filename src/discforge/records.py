@@ -5,11 +5,18 @@ so any instance that exists satisfies its invariants and is safe to share
 across parallel workers. Timestamps are normalized ISO-8601 UTC strings
 ("YYYY-MM-DDTHH:MM:SSZ"), which sort correctly as plain text; every
 temporal comparison in this package is string comparison on that form.
+
+A record's JSON object follows its fields: ``to_dict`` writes every field
+in declaration order, tuples as arrays and nested records as objects.
+``from_dict`` lets a key be absent or null when its field has a default
+(which then applies) or is typed ``| None``; any other absent or null key
+is an error naming the field. Unknown keys are ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
 SEPARATOR = "<s>"
@@ -110,8 +117,49 @@ def is_hex_sha(value) -> bool:
     )
 
 
+@functools.cache
+def _fields_of(cls):
+    return fields(cls)
+
+
+def _plain(values: tuple) -> list:
+    """JSON form of a tuple field: records become dicts, weight rows lists."""
+    if values and isinstance(values[0], _Record):
+        return [v.to_dict() for v in values]
+    if values and isinstance(values[0], tuple):
+        return [list(row) for row in values]
+    return list(values)
+
+
+class _Record:
+    """A record whose JSON form follows its dataclass fields."""
+
+    def to_dict(self) -> dict:
+        d = {}
+        for f in _fields_of(type(self)):
+            value = getattr(self, f.name)
+            d[f.name] = _plain(value) if isinstance(value, tuple) else value
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise RecordError(f"expected a JSON object, got {type(d).__name__}")
+        kwargs = {}
+        for f in _fields_of(cls):
+            value = d.get(f.name)
+            if value is not None:
+                kwargs[f.name] = value
+            elif f.default is MISSING and f.default_factory is MISSING:
+                # annotations are strings here (postponed evaluation)
+                if not f.type.endswith("| None"):
+                    raise RecordError("missing", field=f.name)
+                kwargs[f.name] = None
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class Utterance:
+class Utterance(_Record):
     """One contiguous text contribution in a discussion.
 
     Index 0 is the report body; comments follow in creation order.
@@ -132,28 +180,9 @@ class Utterance:
         if self.body_tokens is not None:
             _set(self, "body_tokens", _check_tokens(self.body_tokens, "body_tokens"))
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "author": self.author,
-            "created_at": self.created_at,
-            "body_raw": self.body_raw,
-            "body_tokens": list(self.body_tokens) if self.body_tokens is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Utterance":
-        return cls(
-            index=_require(d, "index"),
-            author=_require(d, "author"),
-            created_at=_require(d, "created_at"),
-            body_raw=_require(d, "body_raw"),
-            body_tokens=d.get("body_tokens"),
-        )
-
 
 @dataclass(frozen=True)
-class Discussion:
+class Discussion(_Record):
     """A bug report: title plus the time-ordered utterance thread.
 
     ``last_activity_at`` is derived (latest utterance timestamp, falling
@@ -208,32 +237,9 @@ class Discussion:
                 )
             _set(self, "last_activity_at", declared)
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "project": self.project,
-            "issue_number": self.issue_number,
-            "title": self.title,
-            "created_at": self.created_at,
-            "utterances": [u.to_dict() for u in self.utterances],
-            "last_activity_at": self.last_activity_at,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Discussion":
-        return cls(
-            id=_require(d, "id"),
-            project=_require(d, "project"),
-            issue_number=_require(d, "issue_number"),
-            title=_require(d, "title"),
-            created_at=_require(d, "created_at"),
-            utterances=tuple(d.get("utterances", ())),
-            last_activity_at=d.get("last_activity_at"),
-        )
-
 
 @dataclass(frozen=True)
-class BugFixExample:
+class BugFixExample(_Record):
     """One buggy-to-fixed method pair with its linked discussions."""
 
     id: str
@@ -275,38 +281,9 @@ class BugFixExample:
             raise RecordError("duplicate discussion id", field="discussion_ids")
         _set(self, "discussion_ids", ids)
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "project": self.project,
-            "commit_sha": self.commit_sha,
-            "commit_timestamp": self.commit_timestamp,
-            "split": self.split,
-            "buggy_tokens": list(self.buggy_tokens),
-            "fixed_tokens": list(self.fixed_tokens),
-            "method_tokens": list(self.method_tokens),
-            "oracle_msg_tokens": list(self.oracle_msg_tokens) if self.oracle_msg_tokens is not None else None,
-            "discussion_ids": list(self.discussion_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BugFixExample":
-        return cls(
-            id=_require(d, "id"),
-            project=_require(d, "project"),
-            commit_sha=_require(d, "commit_sha"),
-            commit_timestamp=_require(d, "commit_timestamp"),
-            split=_require(d, "split"),
-            buggy_tokens=_require(d, "buggy_tokens"),
-            fixed_tokens=_require(d, "fixed_tokens"),
-            method_tokens=_require(d, "method_tokens"),
-            oracle_msg_tokens=d.get("oracle_msg_tokens"),
-            discussion_ids=tuple(d.get("discussion_ids", ())),
-        )
-
 
 @dataclass(frozen=True)
-class Segment:
+class Segment(_Record):
     """A title or utterance span inside an attention trace's input."""
 
     segment_id: int
@@ -343,30 +320,9 @@ class Segment:
                 field="token_start",
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "segment_id": self.segment_id,
-            "kind": self.kind,
-            "discussion_id": self.discussion_id,
-            "utterance_index": self.utterance_index,
-            "token_start": self.token_start,
-            "token_end": self.token_end,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Segment":
-        return cls(
-            segment_id=_require(d, "segment_id"),
-            kind=_require(d, "kind"),
-            discussion_id=_require(d, "discussion_id"),
-            utterance_index=d.get("utterance_index"),
-            token_start=_require(d, "token_start"),
-            token_end=_require(d, "token_end"),
-        )
-
 
 @dataclass(frozen=True)
-class AttentionTrace:
+class AttentionTrace(_Record):
     """Decoder attention over one example's input, with segment boundaries.
 
     Rows are decoding steps; each row is a probability distribution over
@@ -433,25 +389,10 @@ class AttentionTrace:
         return len(self.weights)
 
     def to_dict(self) -> dict:
-        d = {
-            "example_id": self.example_id,
-            "num_input_tokens": self.num_input_tokens,
-            "segments": [s.to_dict() for s in self.segments],
-            "weights": [list(row) for row in self.weights],
-        }
-        if self.meta is not None:
-            d["meta"] = self.meta
+        d = super().to_dict()
+        if self.meta is None:
+            del d["meta"]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttentionTrace":
-        return cls(
-            example_id=_require(d, "example_id"),
-            num_input_tokens=_require(d, "num_input_tokens"),
-            segments=tuple(_require(d, "segments")),
-            weights=tuple(tuple(row) for row in _require(d, "weights")),
-            meta=d.get("meta"),
-        )
 
 
 @dataclass(frozen=True)
@@ -474,7 +415,7 @@ class ContextSpec:
 
 
 @dataclass(frozen=True)
-class CommitLinkEvent:
+class CommitLinkEvent(_Record):
     """One discovered (issue, commit) association and how it was found."""
 
     project: str
@@ -502,28 +443,9 @@ class CommitLinkEvent:
                 field="link_source",
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "project": self.project,
-            "issue_number": self.issue_number,
-            "commit_sha": self.commit_sha,
-            "linked_at": self.linked_at,
-            "link_source": self.link_source,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CommitLinkEvent":
-        return cls(
-            project=_require(d, "project"),
-            issue_number=_require(d, "issue_number"),
-            commit_sha=_require(d, "commit_sha"),
-            linked_at=_require(d, "linked_at"),
-            link_source=_require(d, "link_source"),
-        )
-
 
 @dataclass(frozen=True)
-class Candidate:
+class Candidate(_Record):
     """A candidate fix for one example, labeled with its producing source."""
 
     example_id: str
@@ -534,21 +456,6 @@ class Candidate:
         _check_str(self.example_id, "example_id")
         _set(self, "candidate_tokens", _check_tokens(self.candidate_tokens, "candidate_tokens"))
         _check_str(self.source, "source")
-
-    def to_dict(self) -> dict:
-        return {
-            "example_id": self.example_id,
-            "candidate_tokens": list(self.candidate_tokens),
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Candidate":
-        return cls(
-            example_id=_require(d, "example_id"),
-            candidate_tokens=_require(d, "candidate_tokens"),
-            source=_require(d, "source"),
-        )
 
 
 @dataclass(frozen=True)
@@ -585,14 +492,6 @@ class EvalReport:
             "exact_match_rate": self.exact_match_rate,
             "per_example": dict(self.per_example),
         }
-
-
-def _require(d: dict, key: str):
-    if not isinstance(d, dict):
-        raise RecordError(f"expected a JSON object, got {type(d).__name__}", field=key)
-    if key not in d or d[key] is None:
-        raise RecordError("missing", field=key)
-    return d[key]
 
 
 def record_digest(path) -> str:

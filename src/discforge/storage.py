@@ -35,10 +35,13 @@ def _iter_jsonl(path):
                 raise RecordError(f"invalid JSON: {exc}", line=lineno) from None
 
 
-def _write_jsonl(path, rows):
+def write_jsonl(path, rows) -> int:
+    """Write JSON-ready rows, one per line; return how many were written."""
+    n = 0
     with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False) + "\n")
+        for n, obj in enumerate(rows, start=1):
+            f.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    return n
 
 
 def _load_records(path, from_dict):
@@ -66,7 +69,7 @@ def load_dataset(path) -> list[BugFixExample]:
 
 
 def save_dataset(path, examples) -> None:
-    _write_jsonl(path, (ex.to_dict() for ex in examples))
+    write_jsonl(path, (ex.to_dict() for ex in examples))
 
 
 def load_discussions(path) -> dict[str, Discussion]:
@@ -96,7 +99,7 @@ def load_discussions(path) -> dict[str, Discussion]:
 
 def save_discussions(path, discussions) -> None:
     rows = discussions.values() if isinstance(discussions, dict) else discussions
-    _write_jsonl(path, (d.to_dict() for d in rows))
+    write_jsonl(path, (d.to_dict() for d in rows))
 
 
 def load_attention_trace(path) -> AttentionTrace:
@@ -149,7 +152,7 @@ def load_candidates(path) -> dict[str, Candidate]:
 
 def save_candidates(path, candidates) -> None:
     rows = candidates.values() if isinstance(candidates, dict) else candidates
-    _write_jsonl(path, (c.to_dict() for c in rows))
+    write_jsonl(path, (c.to_dict() for c in rows))
 
 
 def load_links(path) -> list[CommitLinkEvent]:
@@ -157,7 +160,7 @@ def load_links(path) -> list[CommitLinkEvent]:
 
 
 def save_links(path, links) -> None:
-    _write_jsonl(path, (ln.to_dict() for ln in links))
+    write_jsonl(path, (ln.to_dict() for ln in links))
 
 
 def load_descriptions(path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
@@ -202,7 +205,7 @@ def save_descriptions(path, descriptions) -> None:
                     "description_tokens": list(tokens),
                 }
 
-    _write_jsonl(path, rows())
+    write_jsonl(path, rows())
 
 
 def save_report(path, report: dict) -> None:

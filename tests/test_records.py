@@ -1,5 +1,7 @@
 """Record validation and serialization round trips."""
 
+import json
+
 import pytest
 
 from conftest import make_discussion, make_example, make_utterance
@@ -13,6 +15,7 @@ from discforge.records import (
     RecordError,
     Segment,
     ContextSpec,
+    Utterance,
     normalize_timestamp,
 )
 
@@ -193,3 +196,141 @@ class TestMisc:
     def test_rate_formula_matches_known_corpus_ratio(self):
         per = {str(i): i < 106 for i in range(293)}
         assert EvalReport("x", per).exact_match_rate == 36.2
+
+
+_TITLE_SEG = Segment(0, "title", "p/q#7", None, 0, 2)
+
+# One instance per record type and the exact line storage writes for it;
+# the writers must keep producing these bytes.
+_PINNED = {
+    "utterance": (
+        Utterance(1, "bob", "2014-05-02T10:00:00+02:00", "héllo ✓", ("héllo", "✓")),
+        '{"index": 1, "author": "bob", "created_at": "2014-05-02T08:00:00Z", '
+        '"body_raw": "héllo ✓", "body_tokens": ["héllo", "✓"]}',
+    ),
+    "discussion": (
+        Discussion(
+            "p/q#7", "p/q", 7, "Crash", "2014-05-01T10:00:00Z",
+            (
+                Utterance(0, "alice", "2014-05-01T10:00:00Z", "body"),
+                Utterance(1, "bob", "2014-05-02T08:00:00Z", "more", ("more",)),
+            ),
+        ),
+        '{"id": "p/q#7", "project": "p/q", "issue_number": 7, "title": "Crash", '
+        '"created_at": "2014-05-01T10:00:00Z", "utterances": [{"index": 0, '
+        '"author": "alice", "created_at": "2014-05-01T10:00:00Z", "body_raw": "body", '
+        '"body_tokens": null}, {"index": 1, "author": "bob", '
+        '"created_at": "2014-05-02T08:00:00Z", "body_raw": "more", '
+        '"body_tokens": ["more"]}], "last_activity_at": "2014-05-02T08:00:00Z"}',
+    ),
+    "example": (
+        BugFixExample(
+            "e1", "p/q", "abcdef0", "2014-05-10T12:00:00Z", "train",
+            ("a", ";"), ("b", ";"), ("m",), ("fix",), ("p/q#7",),
+        ),
+        '{"id": "e1", "project": "p/q", "commit_sha": "abcdef0", '
+        '"commit_timestamp": "2014-05-10T12:00:00Z", "split": "train", '
+        '"buggy_tokens": ["a", ";"], "fixed_tokens": ["b", ";"], "method_tokens": ["m"], '
+        '"oracle_msg_tokens": ["fix"], "discussion_ids": ["p/q#7"]}',
+    ),
+    "example_without_oracle": (
+        BugFixExample("e2", "p/q", "abcdef0", "2014-05-10T12:00:00Z", "test", ("a",), ("b",), ("m",)),
+        '{"id": "e2", "project": "p/q", "commit_sha": "abcdef0", '
+        '"commit_timestamp": "2014-05-10T12:00:00Z", "split": "test", '
+        '"buggy_tokens": ["a"], "fixed_tokens": ["b"], "method_tokens": ["m"], '
+        '"oracle_msg_tokens": null, "discussion_ids": []}',
+    ),
+    "title_segment": (
+        _TITLE_SEG,
+        '{"segment_id": 0, "kind": "title", "discussion_id": "p/q#7", '
+        '"utterance_index": null, "token_start": 0, "token_end": 2}',
+    ),
+    "utterance_segment": (
+        Segment(1, "utterance", "p/q#7", 0, 2, 4),
+        '{"segment_id": 1, "kind": "utterance", "discussion_id": "p/q#7", '
+        '"utterance_index": 0, "token_start": 2, "token_end": 4}',
+    ),
+    "trace_without_meta": (
+        AttentionTrace("e1", 2, (_TITLE_SEG,), ((0.5, 0.5), (0.25, 0.75))),
+        '{"example_id": "e1", "num_input_tokens": 2, "segments": [{"segment_id": 0, '
+        '"kind": "title", "discussion_id": "p/q#7", "utterance_index": null, '
+        '"token_start": 0, "token_end": 2}], "weights": [[0.5, 0.5], [0.25, 0.75]]}',
+    ),
+    "trace_with_meta": (
+        AttentionTrace("e1", 1, (), ((1.0,),), {"heads": "mean"}),
+        '{"example_id": "e1", "num_input_tokens": 1, "segments": [], '
+        '"weights": [[1.0]], "meta": {"heads": "mean"}}',
+    ),
+    "link": (
+        CommitLinkEvent("p/q", 7, "abcdef0", "2014-05-09T00:00:00Z", "message_reference"),
+        '{"project": "p/q", "issue_number": 7, "commit_sha": "abcdef0", '
+        '"linked_at": "2014-05-09T00:00:00Z", "link_source": "message_reference"}',
+    ),
+    "candidate": (
+        Candidate("e1", ("b", ";"), "model"),
+        '{"example_id": "e1", "candidate_tokens": ["b", ";"], "source": "model"}',
+    ),
+}
+
+
+class TestJsonForm:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_pinned_bytes(self, name):
+        record, line = _PINNED[name]
+        assert json.dumps(record.to_dict(), ensure_ascii=False) == line
+
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_round_trip_through_json(self, name):
+        record, line = _PINNED[name]
+        assert type(record).from_dict(json.loads(line)) == record
+
+
+def _example_dict():
+    return json.loads(_PINNED["example"][1])
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("key", ["id", "split", "buggy_tokens"])
+    def test_required_key_absent(self, key):
+        d = _example_dict()
+        del d[key]
+        with pytest.raises(RecordError, match=f"field '{key}': missing") as exc:
+            BugFixExample.from_dict(d)
+        assert exc.value.field == key
+
+    @pytest.mark.parametrize("key", ["commit_sha", "method_tokens"])
+    def test_required_key_null(self, key):
+        d = _example_dict()
+        d[key] = None
+        with pytest.raises(RecordError, match=f"field '{key}': missing") as exc:
+            BugFixExample.from_dict(d)
+        assert exc.value.field == key
+
+    def test_absent_discussion_ids(self):
+        d = _example_dict()
+        del d["discussion_ids"]
+        assert BugFixExample.from_dict(d).discussion_ids == ()
+
+    def test_absent_utterances_and_last_activity(self):
+        d = json.loads(_PINNED["discussion"][1])
+        del d["utterances"], d["last_activity_at"]
+        disc = Discussion.from_dict(d)
+        assert disc.utterances == ()
+        assert disc.last_activity_at == disc.created_at == "2014-05-01T10:00:00Z"
+
+    def test_null_utterance_index(self):
+        d = json.loads(_PINNED["title_segment"][1])
+        assert d["utterance_index"] is None
+        assert Segment.from_dict(d) == _TITLE_SEG
+        del d["utterance_index"]
+        assert Segment.from_dict(d) == _TITLE_SEG
+
+    def test_unknown_keys_ignored(self):
+        d = _example_dict()
+        d["comment"] = "added by hand"
+        assert BugFixExample.from_dict(d) == _PINNED["example"][0]
+
+    @pytest.mark.parametrize("value", [[], "text", 3, None])
+    def test_not_an_object(self, value):
+        with pytest.raises(RecordError, match="expected a JSON object"):
+            Candidate.from_dict(value)

@@ -49,6 +49,39 @@ def test_loader_reports_broken_json_line(tmp_path):
         storage.load_dataset(path)
 
 
+def test_write_jsonl_counts_streamed_rows(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    assert storage.write_jsonl(path, ({"i": i, "s": "✓"} for i in range(3))) == 3
+    assert path.read_text(encoding="utf-8") == "".join(
+        f'{{"i": {i}, "s": "✓"}}\n' for i in range(3)
+    )
+    assert storage.write_jsonl(path, iter(())) == 0
+    assert path.read_text(encoding="utf-8") == ""
+
+
+def test_loader_reports_array_line(tmp_path):
+    path = tmp_path / "data.jsonl"
+    good = json.dumps(make_example().to_dict())
+    path.write_text(good + "\n" + json.dumps(["not", "a", "record"]) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match="^line 2: expected a JSON object, got list$") as exc:
+        storage.load_dataset(path)
+    assert exc.value.line == 2
+
+
+def test_loader_reports_line_of_record_missing_a_field(tmp_path):
+    rows = [
+        {"project": "p/q", "issue_number": n, "commit_sha": "abcdef0",
+         "linked_at": "2014-05-10T12:00:00Z", "link_source": "timeline_event"}
+        for n in (1, 2, 3)
+    ]
+    del rows[2]["linked_at"]
+    path = tmp_path / "links.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(RecordError, match="^line 3: field 'linked_at': missing$") as exc:
+        storage.load_links(path)
+    assert exc.value.line == 3
+
+
 def test_blank_lines_are_ignored(tmp_path):
     ex = make_example()
     path = tmp_path / "data.jsonl"

@@ -252,19 +252,21 @@ def _cmd_link(args) -> tuple[int, dict]:
 def _cmd_tokenize(args) -> tuple[int, dict]:
     tokenizer = code_tokenize if args.mode == "code" else subtokenize
     failures = 0
-    n = 0
-    with open(args.in_path, "r", encoding="utf-8") as fin, open(
-        args.out, "w", encoding="utf-8"
-    ) as fout:
-        for line in fin:
-            n += 1
+
+    def rows(fin):
+        nonlocal failures
+        for lineno, line in enumerate(fin, start=1):
             try:
                 tokens = tokenizer(line.rstrip("\n"))
             except Exception as exc:
                 failures += 1
-                log.warning("line %d: %s", n, exc)
+                log.warning("line %d: %s", lineno, exc)
                 tokens = []
-            fout.write(json.dumps(tokens, ensure_ascii=False) + "\n")
+            yield tokens
+
+    # The input is opened first, so a missing one creates no output file.
+    with open(args.in_path, "r", encoding="utf-8") as fin:
+        n = storage.write_jsonl(args.out, rows(fin))
     code = 1 if failures > args.fail_threshold else 0
     return code, {"lines": n, "failures": failures}
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linking import prepare_discussions
 from .records import (
     SEPARATOR,
@@ -24,7 +22,7 @@ from .records import (
     Discussion,
     Segment,
 )
-from .textproc import process_discussion_text, subtokenize, truncate_from_end
+from .textproc import truncate_from_end
 
 
 class ContextSkip(Exception):
@@ -44,26 +42,13 @@ class SegmentRef:
     utterance_index: int | None = None
 
 
-def title_tokens(discussion: Discussion) -> list[str]:
-    return subtokenize(discussion.title)
-
-
-def utterance_tokens(utterance) -> list[str]:
-    """Pre-tokenized text when present, otherwise normalize the raw body."""
-    if utterance.body_tokens is not None:
-        return list(utterance.body_tokens)
-    return process_discussion_text(utterance.body_raw)
-
-
 def _labeled_nl_parts(discussions):
     """(SegmentRef, tokens) pairs in whole-discussion order."""
     parts = []
     for disc in discussions:
-        parts.append((SegmentRef(disc.id, "title"), title_tokens(disc)))
+        parts.append((SegmentRef(disc.id, "title"), disc.title_tokens))
         for utt in disc.utterances:
-            parts.append(
-                (SegmentRef(disc.id, "utterance", utt.index), utterance_tokens(utt))
-            )
+            parts.append((SegmentRef(disc.id, "utterance", utt.index), utt.tokens))
     return parts
 
 
@@ -137,11 +122,9 @@ def build_context(
     elif kind == "title":
         if not prepared:
             raise ContextSkip("no discussions")
-        nl_parts = [(None, title_tokens(d)) for d in prepared]
+        nl_parts = [(None, d.title_tokens) for d in prepared]
     elif kind == "last_utterance":
-        nl_parts = [
-            (None, utterance_tokens(d.utterances[-1])) for d in prepared if d.utterances
-        ]
+        nl_parts = [(None, d.utterances[-1].tokens) for d in prepared if d.utterances]
         if not nl_parts:
             raise ContextSkip("no utterance survives the temporal filter")
     elif kind == "soln_desc":
@@ -157,7 +140,7 @@ def build_context(
         for d in prepared:
             if d.id in by_disc:
                 nl_parts.append((None, by_disc[d.id]))
-            nl_parts.append((None, title_tokens(d)))
+            nl_parts.append((None, d.title_tokens))
     elif kind == "attended_segments":
         if traces is None:
             raise MissingAuxInput(
@@ -208,6 +191,8 @@ def extract_attended_segments(trace: AttentionTrace) -> list[Segment]:
     """
     if not trace.weights:
         return []
+    import numpy as np
+
     winners = np.asarray(trace.weights, dtype=np.float64).argmax(axis=1)
     starts = [seg.token_start for seg in trace.segments]
     out = []

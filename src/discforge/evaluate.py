@@ -12,8 +12,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linking import prepare_discussions
 from .records import SPLITS, EvalReport
 from .textproc import code_tokenize
@@ -80,6 +78,8 @@ def _twice_count(diff, n, D, sample_size, start, stop, seed):
     gap, 1 on exact equality (a tie splits the difference), 0 otherwise.
     Comparing Ds*n against 2*D*sample_size keeps everything integral.
     """
+    import numpy as np
+
     threshold = 2 * int(D) * sample_size
     twice = 0
     for i in range(start, stop):
@@ -111,6 +111,8 @@ def paired_bootstrap(
     draws sample_size examples with replacement and the p-value is the
     fraction of resamples whose rate gap exceeds twice the observed gap.
     """
+    import numpy as np
+
     a = np.asarray(list(outcomes_a), dtype=bool)
     b = np.asarray(list(outcomes_b), dtype=bool)
     if a.shape != b.shape or a.ndim != 1:

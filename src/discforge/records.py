@@ -11,13 +11,21 @@ in declaration order, tuples as arrays and nested records as objects.
 ``from_dict`` lets a key be absent or null when its field has a default
 (which then applies) or is typed ``| None``; any other absent or null key
 is an error naming the field. Unknown keys are ignored.
+
+A title's and an utterance's tokens (``Discussion.title_tokens``,
+``Utterance.tokens``) are computed on first use and then kept on the
+record, so each loaded record is tokenized at most once however many
+contexts render it. Nothing is tokenized at load time.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
+
+from .textproc import process_discussion_text, subtokenize
 
 SEPARATOR = "<s>"
 
@@ -43,15 +51,21 @@ ROW_SUM_TOLERANCE = 1e-3
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
+# The normalized form itself; such a value needs only a validity check.
+# The year must not start with 0: strftime writes years below 1000 unpadded.
+_CANONICAL_TIMESTAMP = re.compile(r"[1-9]\d{3}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+
 
 class RecordError(ValueError):
     """A record violated its schema or an invariant.
 
     Carries the offending line number and field name when known, so loaders
-    can point at the exact spot in a file.
+    can point at the exact spot in a file; ``message`` is the text without
+    that location prefix.
     """
 
     def __init__(self, message, *, line=None, field=None):
+        self.message = message
         self.line = line
         self.field = field
         prefix = ""
@@ -68,6 +82,13 @@ def normalize_timestamp(value) -> str:
     Accepts the tracker's "Z" suffix, explicit offsets, and naive stamps
     (taken as UTC). Fractional seconds are truncated.
     """
+    if type(value) is str and _CANONICAL_TIMESTAMP.fullmatch(value):
+        try:
+            datetime.fromisoformat(value[:-1])
+        except ValueError:
+            pass  # out-of-range field: the full path below reports it
+        else:
+            return value
     if not isinstance(value, str) or not value.strip():
         raise RecordError(f"not a timestamp: {value!r}")
     text = value.strip()
@@ -180,6 +201,13 @@ class Utterance(_Record):
         if self.body_tokens is not None:
             _set(self, "body_tokens", _check_tokens(self.body_tokens, "body_tokens"))
 
+    @functools.cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """Pre-tokenized text when present, otherwise the normalized raw body."""
+        if self.body_tokens is not None:
+            return self.body_tokens
+        return tuple(process_discussion_text(self.body_raw))
+
 
 @dataclass(frozen=True)
 class Discussion(_Record):
@@ -236,6 +264,8 @@ class Discussion(_Record):
                     field="last_activity_at",
                 )
             _set(self, "last_activity_at", declared)
+
+    title_tokens = functools.cached_property(lambda self: tuple(subtokenize(self.title)))
 
 
 @dataclass(frozen=True)

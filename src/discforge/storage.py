@@ -50,7 +50,7 @@ def _load_records(path, from_dict):
         try:
             out.append(from_dict(obj))
         except RecordError as exc:
-            raise RecordError(str(exc), line=lineno) from None
+            raise RecordError(exc.message, line=lineno, field=exc.field) from None
     return out
 
 
@@ -181,7 +181,7 @@ def load_descriptions(path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
         except KeyError as exc:
             raise RecordError("missing", line=lineno, field=exc.args[0]) from None
         except RecordError as exc:
-            raise RecordError(str(exc), line=lineno) from None
+            raise RecordError(exc.message, line=lineno, field=exc.field) from None
         if not isinstance(ex_id, str) or not isinstance(disc_id, str):
             raise RecordError("ids must be strings", line=lineno, field="example_id")
         if (ex_id, disc_id) in seen_pairs:

@@ -1,9 +1,13 @@
 """Command-line behavior: files in, files out, exit codes, config layering."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import discforge
 from conftest import make_discussion, make_example, make_utterance
 from discforge import storage
 from discforge.cli import main
@@ -68,6 +72,17 @@ def corpus(tmp_path):
     return paths
 
 
+def test_import_leaves_numpy_unloaded():
+    """Only compare and attended_segments load numpy, on first use."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(discforge.__file__)))
+    probe = "import sys, discforge, discforge.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"
+
+
 class TestTokenize:
     def test_code_mode(self, tmp_path):
         src = tmp_path / "in.txt"
@@ -85,6 +100,12 @@ class TestTokenize:
         out = tmp_path / "out.jsonl"
         assert main(["tokenize", "--mode", "subtoken", "--in", str(src), "--out", str(out)]) == 0
         assert jsonl(out) == [["empty", "Implicit", "Table"]]
+
+    def test_missing_input_exits_2_and_creates_no_output(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        missing = tmp_path / "absent.txt"
+        assert main(["tokenize", "--mode", "code", "--in", str(missing), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestMine:

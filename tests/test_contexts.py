@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import make_discussion, make_example, make_utterance
+from discforge import records, storage, textproc
 from discforge.contexts import (
     ContextSkip,
     MissingAuxInput,
@@ -408,3 +409,97 @@ class TestEnumerateSegmentContexts:
     def test_no_discussions_enumerates_empty(self):
         ex = make_example(buggy=("bug",), fixed=("fix",), method=("m",))
         assert enumerate_segment_contexts(ex, {}) == []
+
+
+class TestTokenMemo:
+    """Each loaded title and utterance is tokenized at most once."""
+
+    BODIES = ("first *report* body", "second `code` body", "third [link](http://x.y) body")
+
+    @pytest.fixture
+    def shared(self):
+        """One discussion shared by three examples with different cutoffs."""
+        disc = make_discussion(
+            utterances=[
+                make_utterance(0, "2014-05-01T10:00:00Z", self.BODIES[0]),
+                make_utterance(1, "2014-05-03T10:00:00Z", self.BODIES[1]),
+                make_utterance(2, "2014-05-05T10:00:00Z", self.BODIES[2]),
+            ]
+        )
+        examples = [
+            make_example(ex_id=f"e{i}", commit_ts=ts, discussion_ids=(disc.id,))
+            for i, ts in enumerate(
+                ("2014-05-02T00:00:00Z", "2014-05-04T00:00:00Z", "2014-05-10T00:00:00Z")
+            )
+        ]
+        return examples, {disc.id: disc}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Arguments of every normalize and title call, counted where records
+        binds them, and of the kernel calls normalization makes inside textproc."""
+        seen = {"normalize": [], "title": [], "kernel": []}
+
+        def counting(key, fn):
+            def wrapper(text):
+                seen[key].append(text)
+                return fn(text)
+
+            return wrapper
+
+        for module, name, key in (
+            (records, "process_discussion_text", "normalize"),
+            (records, "subtokenize", "title"),
+            (textproc, "subtokenize", "kernel"),
+        ):
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+        return seen
+
+    @staticmethod
+    def render(examples, discs):
+        out = []
+        for ex in examples:
+            for kind in ("whole_discussion", "last_utterance", "title"):
+                out.append(build_context(ex, spec(kind), discs))
+            out.append(enumerate_segment_contexts(ex, discs))
+            out.append(layout_whole_discussion(ex, spec("whole_discussion"), discs))
+        return out
+
+    def test_each_utterance_normalized_once(self, shared, calls):
+        examples, discs = shared
+        for ex in examples:
+            for kind in ("whole_discussion", "last_utterance"):
+                build_context(ex, spec(kind), discs)
+            enumerate_segment_contexts(ex, discs)
+        assert sorted(calls["normalize"]) == sorted(self.BODIES)
+
+    def test_each_load_tokenizes_once(self, shared, calls, tmp_path):
+        examples, discs = shared
+        path = tmp_path / "discussions.jsonl"
+        storage.save_discussions(path, discs)
+        counts = []
+        for _ in range(2):
+            self.render(examples, storage.load_discussions(path))
+            counts.append((len(calls["normalize"]), len(calls["kernel"])))
+        n = len(self.BODIES)
+        assert counts == [(n, n), (2 * n, 2 * n)]
+
+    def test_nothing_tokenized_at_load(self, shared, calls, tmp_path):
+        _, discs = shared
+        path = tmp_path / "discussions.jsonl"
+        storage.save_discussions(path, discs)
+        storage.load_discussions(path)
+        assert calls == {"normalize": [], "title": [], "kernel": []}
+
+    def test_cached_tokens_are_tuples_and_contexts_match_a_fresh_load(self, shared, tmp_path):
+        examples, discs = shared
+        path = tmp_path / "discussions.jsonl"
+        storage.save_discussions(path, discs)
+        first = self.render(examples, discs)
+        again = self.render(examples, discs)
+        fresh = self.render(examples, storage.load_discussions(path))
+        assert first == again == fresh
+        (disc,) = discs.values()
+        assert isinstance(disc.title_tokens, tuple)
+        for utt in disc.utterances:
+            assert isinstance(vars(utt)["tokens"], tuple)

@@ -1,6 +1,8 @@
 """Record validation and serialization round trips."""
 
 import json
+import random
+from datetime import datetime, timezone
 
 import pytest
 
@@ -42,6 +44,71 @@ class TestNormalizeTimestamp:
         early = normalize_timestamp("2014-05-01T23:59:59+05:00")
         late = normalize_timestamp("2014-05-01T20:00:00Z")
         assert early < late
+
+
+def _reference_normalize_timestamp(value) -> str:
+    """normalize_timestamp without its fast path for canonical stamps."""
+    if not isinstance(value, str) or not value.strip():
+        raise RecordError(f"not a timestamp: {value!r}")
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        parsed = datetime.fromisoformat(text)
+    except ValueError:
+        raise RecordError(f"unparseable timestamp: {value!r}") from None
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    parsed = parsed.astimezone(timezone.utc).replace(microsecond=0)
+    return parsed.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _outcome(fn, value):
+    try:
+        return "ok", fn(value)
+    except RecordError as exc:
+        return "error", str(exc)
+
+
+def _random_stamp(rng):
+    """A stamp in canonical shape whose fields may be out of range."""
+    year = rng.choice([rng.randrange(0, 1000), rng.randrange(1000, 10000)])
+    return (
+        f"{year:04d}-{rng.randrange(0, 14):02d}-{rng.randrange(0, 33):02d}"
+        f"T{rng.randrange(0, 26):02d}:{rng.randrange(0, 62):02d}:{rng.randrange(0, 62):02d}Z"
+    )
+
+
+_STAMP_CHARS = "0123456789-:TZz +.tx\u0661\n"
+
+
+def test_normalize_timestamp_matches_reference_oracle():
+    rng = random.Random(20140510)
+    valid = "2014-05-10T12:34:56Z"
+    inputs = ["0999-01-01T00:00:00Z", "1000-01-01T00:00:00Z", "9999-12-31T23:59:59Z"]
+    inputs += [_random_stamp(rng) for _ in range(3000)]
+    for _ in range(3000):
+        pos = rng.randrange(len(valid) + 1)
+        op = rng.choice(("replace", "insert", "delete"))
+        ch = rng.choice(_STAMP_CHARS)
+        if op == "replace" and pos < len(valid):
+            inputs.append(valid[:pos] + ch + valid[pos + 1:])
+        elif op == "insert":
+            inputs.append(valid[:pos] + ch + valid[pos:])
+        else:
+            inputs.append(valid[:pos] + valid[pos + 1:])
+    inputs += [
+        "".join(rng.choice(_STAMP_CHARS) for _ in range(rng.randrange(0, 25)))
+        for _ in range(3000)
+    ]
+    mismatches = [
+        (v, _outcome(normalize_timestamp, v), _outcome(_reference_normalize_timestamp, v))
+        for v in inputs
+        if _outcome(normalize_timestamp, v) != _outcome(_reference_normalize_timestamp, v)
+    ]
+    assert not mismatches, mismatches[:5]
+    # Years below 1000 come out unpadded, as strftime writes them.
+    assert normalize_timestamp("0999-01-01T00:00:00Z") == "999-01-01T00:00:00Z"
 
 
 class TestDiscussion:

@@ -80,6 +80,7 @@ def test_loader_reports_line_of_record_missing_a_field(tmp_path):
     with pytest.raises(RecordError, match="^line 3: field 'linked_at': missing$") as exc:
         storage.load_links(path)
     assert exc.value.line == 3
+    assert exc.value.field == "linked_at"
 
 
 def test_blank_lines_are_ignored(tmp_path):
@@ -200,3 +201,16 @@ def test_descriptions_missing_field_names_it(tmp_path):
     path.write_text('{"example_id": "e1", "description_tokens": ["x"]}\n', encoding="utf-8")
     with pytest.raises(RecordError, match="discussion_id"):
         storage.load_descriptions(path)
+
+
+def test_descriptions_bad_token_keeps_line_and_field(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"example_id": "e1", "discussion_id": "d1", "description_tokens": ["x", ""]}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(
+        RecordError, match="^line 1: field 'description_tokens': empty-string token$"
+    ) as exc:
+        storage.load_descriptions(path)
+    assert (exc.value.line, exc.value.field) == (1, "description_tokens")

@@ -120,7 +120,12 @@ def build_parser():
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--size", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect (the bootstrap runs on one thread)",
+    )
     sp.add_argument(
         "--shared-only",
         action="store_true",

@@ -1,15 +1,13 @@
 """Evaluation: exact match, paired bootstrap significance, dataset stats.
 
-The bootstrap uses one PCG64 stream per resample, derived from
-SeedSequence(seed, spawn_key=(i,)), so the i-th resample draws identical
-indices whether samples run serially or across workers; results are
-bit-identical for any job count. All resample comparisons are done in
+The bootstrap runs on one thread and uses one PCG64 stream per resample,
+derived from SeedSequence(seed, spawn_key=(i,)), so the i-th resample's
+indices depend only on the seed and i. All resample comparisons are done in
 integer arithmetic, never floats.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .linking import prepare_discussions
@@ -71,30 +69,6 @@ class BootstrapResult:
         }
 
 
-def _twice_count(diff, n, D, sample_size, start, stop, seed):
-    """Doubled exceedance count for resamples [start, stop).
-
-    Counts 2 when the resampled gap strictly exceeds twice the observed
-    gap, 1 on exact equality (a tie splits the difference), 0 otherwise.
-    Comparing Ds*n against 2*D*sample_size keeps everything integral.
-    """
-    import numpy as np
-
-    threshold = 2 * int(D) * sample_size
-    twice = 0
-    for i in range(start, stop):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        )
-        idx = rng.integers(0, n, size=sample_size)
-        ds = int(diff[idx].sum()) * n
-        if ds > threshold:
-            twice += 2
-        elif ds == threshold:
-            twice += 1
-    return twice
-
-
 def paired_bootstrap(
     outcomes_a,
     outcomes_b,
@@ -110,6 +84,8 @@ def paired_bootstrap(
     the system with the higher (or equal) exact-match rate. Each resample
     draws sample_size examples with replacement and the p-value is the
     fraction of resamples whose rate gap exceeds twice the observed gap.
+    n_jobs is accepted for compatibility and has no effect: the resamples
+    run on one thread.
     """
     import numpy as np
 
@@ -136,19 +112,22 @@ def paired_bootstrap(
             "a is the stronger system and interpret p for that direction"
         )
 
-    n_jobs = max(1, int(n_jobs))
-    if n_jobs == 1:
-        twice = _twice_count(diff, n, D, sample_size, 0, n_samples, seed)
-    else:
-        bounds = np.linspace(0, n_samples, n_jobs + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(
-                    _twice_count, diff, n, D, sample_size, int(lo), int(hi), seed
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            twice = sum(f.result() for f in futures)
+    # Doubled exceedance count: 2 when the resampled gap strictly exceeds
+    # twice the observed gap, 1 on exact equality (a tie splits the
+    # difference). Comparing Ds*n against 2*D*sample_size keeps everything
+    # integral.
+    threshold = 2 * D * sample_size
+    twice = 0
+    for i in range(n_samples):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        )
+        idx = rng.integers(0, n, size=sample_size)
+        ds = int(diff[idx].sum()) * n
+        if ds > threshold:
+            twice += 2
+        elif ds == threshold:
+            twice += 1
 
     return BootstrapResult(
         p_value=twice / (2.0 * n_samples),

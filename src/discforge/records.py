@@ -1,9 +1,9 @@
 """Domain records shared by every pipeline stage.
 
 All types validate themselves on construction and are immutable afterwards,
-so any instance that exists satisfies its invariants and is safe to share
-across parallel workers. Timestamps are normalized ISO-8601 UTC strings
-("YYYY-MM-DDTHH:MM:SSZ"), which sort correctly as plain text; every
+so any instance that exists satisfies its invariants and is safe to share.
+Timestamps are normalized ISO-8601 UTC strings ("YYYY-MM-DDTHH:MM:SSZ",
+the year always four digits), which sort correctly as plain text; every
 temporal comparison in this package is string comparison on that form.
 
 A record's JSON object follows its fields: ``to_dict`` writes every field
@@ -52,8 +52,7 @@ ROW_SUM_TOLERANCE = 1e-3
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 # The normalized form itself; such a value needs only a validity check.
-# The year must not start with 0: strftime writes years below 1000 unpadded.
-_CANONICAL_TIMESTAMP = re.compile(r"[1-9]\d{3}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+_CANONICAL_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 
 
 class RecordError(ValueError):
@@ -100,8 +99,10 @@ def normalize_timestamp(value) -> str:
         raise RecordError(f"unparseable timestamp: {value!r}") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    parsed = parsed.astimezone(timezone.utc).replace(microsecond=0)
-    return parsed.strftime("%Y-%m-%dT%H:%M:%SZ")
+    parsed = parsed.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None)
+    # isoformat writes the year with four digits; strftime's %Y does not
+    # pad years below 1000.
+    return parsed.isoformat() + "Z"
 
 
 def _set(obj, name, value):

@@ -195,19 +195,6 @@ def load_descriptions(path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     return out
 
 
-def save_descriptions(path, descriptions) -> None:
-    def rows():
-        for ex_id, entries in descriptions.items():
-            for disc_id, tokens in entries:
-                yield {
-                    "example_id": ex_id,
-                    "discussion_id": disc_id,
-                    "description_tokens": list(tokens),
-                }
-
-    write_jsonl(path, rows())
-
-
 def save_report(path, report: dict) -> None:
     """Write an analysis report as indented JSON (human-diffable)."""
     with open(path, "w", encoding="utf-8") as f:

@@ -320,6 +320,24 @@ class TestCompare:
         ]) == 0
         assert json.loads(out.read_text())["n"] == 1
 
+    def test_jobs_accepted_without_effect(self, corpus, tmp_path):
+        config = tmp_path / "jobs.json"
+        config.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
+        base = [
+            "compare", "--refs", str(corpus["dataset"]),
+            "--a", str(corpus["cand_a"]), "--b", str(corpus["cand_b"]),
+            "--samples", "300", "--size", "100", "--seed", "5",
+        ]
+        outputs = []
+        for name, extra in [
+            ("j1", ["--jobs", "1"]), ("j4", ["--jobs", "4"]), ("cfg", ["--config", str(config)]),
+        ]:
+            out = tmp_path / f"cmp-{name}.json"
+            assert main(base + extra + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
 
 class TestOracleEval:
     def test_directory_of_sources(self, corpus, tmp_path, capsys):

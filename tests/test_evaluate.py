@@ -1,5 +1,7 @@
 """Exact match, bootstrap significance, oracle combination, corpus stats."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ class TestPairedBootstrap:
                 a, b, n_samples=600, sample_size=300, seed=3, n_jobs=jobs
             )
             assert parallel.p_value == serial.p_value
+
+    def test_starts_no_thread(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a = rng.random(400) < 0.5
+        b = a & (rng.random(400) < 0.9)
+        serial = paired_bootstrap(a, b, n_samples=300, sample_size=200, seed=11, n_jobs=1)
+
+        def refuse(thread):
+            raise AssertionError(f"paired_bootstrap started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = paired_bootstrap(a, b, n_samples=300, sample_size=200, seed=11, n_jobs=4)
+        assert result == serial
 
     def test_negative_delta_instructs_swap(self):
         a = [False, False, True]

@@ -2,11 +2,12 @@
 
 import json
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from conftest import make_discussion, make_example, make_utterance
+from discforge import storage
 from discforge.records import (
     AttentionTrace,
     BugFixExample,
@@ -59,8 +60,8 @@ def _reference_normalize_timestamp(value) -> str:
         raise RecordError(f"unparseable timestamp: {value!r}") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    parsed = parsed.astimezone(timezone.utc).replace(microsecond=0)
-    return parsed.strftime("%Y-%m-%dT%H:%M:%SZ")
+    parsed = parsed.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None)
+    return parsed.isoformat() + "Z"
 
 
 def _outcome(fn, value):
@@ -107,8 +108,48 @@ def test_normalize_timestamp_matches_reference_oracle():
         if _outcome(normalize_timestamp, v) != _outcome(_reference_normalize_timestamp, v)
     ]
     assert not mismatches, mismatches[:5]
-    # Years below 1000 come out unpadded, as strftime writes them.
-    assert normalize_timestamp("0999-01-01T00:00:00Z") == "999-01-01T00:00:00Z"
+    assert normalize_timestamp("0999-01-01T00:00:00Z") == "0999-01-01T00:00:00Z"
+
+
+def _random_valid_stamp(rng, first_year, last_year):
+    """A valid stamp in one of the input forms the normalizer accepts."""
+    ts = datetime(rng.randint(first_year, last_year), 1, 1) + timedelta(
+        seconds=rng.randrange(365 * 86400)
+    )
+    return rng.choice((
+        f"{ts.isoformat()}Z",
+        f"{ts.isoformat()}+00:00",
+        ts.isoformat(sep=" "),
+        f"{ts.isoformat()}.{rng.randrange(10**6):06d}Z",
+    ))
+
+
+@pytest.mark.parametrize("years", [(1, 999), (1000, 9999)])
+def test_normalize_timestamp_is_idempotent(years):
+    rng = random.Random(years[0])
+    for _ in range(2000):
+        once = normalize_timestamp(_random_valid_stamp(rng, *years))
+        assert normalize_timestamp(once) == once
+
+
+@pytest.mark.parametrize("years", [(1, 999), (1000, 9999)])
+def test_discussion_with_random_stamps_round_trips(tmp_path, years):
+    rng = random.Random(years[1])
+    discussions = []
+    for number in range(1, 51):
+        stamps = sorted(
+            (_random_valid_stamp(rng, *years) for _ in range(4)),
+            key=normalize_timestamp,
+        )
+        discussions.append(make_discussion(
+            disc_id=f"demo/proj#{number}",
+            number=number,
+            created_at=stamps[0],
+            utterances=[make_utterance(i, s) for i, s in enumerate(stamps[1:])],
+        ))
+    path = tmp_path / "d.jsonl"
+    storage.save_discussions(path, discussions)
+    assert list(storage.load_discussions(path).values()) == discussions
 
 
 class TestDiscussion:

@@ -184,7 +184,11 @@ def test_descriptions_round_trip(tmp_path):
         "e2": [("a#1", ("fix",))],
     }
     path = tmp_path / "d.jsonl"
-    storage.save_descriptions(path, desc)
+    storage.write_jsonl(path, (
+        {"example_id": ex_id, "discussion_id": disc_id, "description_tokens": list(tokens)}
+        for ex_id, entries in desc.items()
+        for disc_id, tokens in entries
+    ))
     assert storage.load_descriptions(path) == desc
 
 

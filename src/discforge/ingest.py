@@ -31,6 +31,7 @@ from .storage import save_discussions, save_links
 log = logging.getLogger(__name__)
 
 API_ROOT = "https://api.github.com"
+PER_PAGE = 100
 
 # "#123" style references: not preceded by a word char or '/', so
 # "PR#12", "issue #12" match while "abc#12" in a URL path does not.
@@ -77,13 +78,6 @@ class RawIssueArchive:
             raise RecordError(f"archive root {root!r} is not a directory")
         self.root = root
 
-    def projects(self) -> list[str]:
-        out = []
-        for name in sorted(os.listdir(self.root)):
-            if "__" in name and os.path.isdir(os.path.join(self.root, name)):
-                out.append(name.replace("__", "/", 1))
-        return out
-
     def iter_issues(self, project: str):
         """Yield raw issue dicts for a project, lowest number first."""
         pdir = os.path.join(self.root, project_dirname(project))
@@ -105,10 +99,16 @@ class RawIssueArchive:
 
 
 def _load_cursor(path) -> dict:
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    return {}
+    if not (path and os.path.exists(path)):
+        return {}
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            cursor = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"cursor {path}: invalid JSON: {exc}") from None
+    if not isinstance(cursor, dict):
+        raise ValueError(f"cursor {path}: expected a JSON object")
+    return cursor
 
 
 def _save_cursor(path, cursor) -> None:
@@ -175,16 +175,21 @@ def _request(transport, url, params, headers, *, sleep, max_retries=5):
         return resp_headers, payload
 
 
-def _fetch_comments(transport, comments_url, headers, *, sleep):
-    comments = []
-    page = 1
+def _pages(transport, url, params, headers, *, sleep, page=1):
+    """Yield ``(page, items)`` for each non-empty page of a paged endpoint.
+
+    The list ends at an empty page or at one shorter than PER_PAGE: the
+    API fills every page but the last.
+    """
     while True:
-        _, payload = _request(
-            transport, comments_url, {"per_page": 100, "page": page}, headers, sleep=sleep
+        _, items = _request(
+            transport, url, {**params, "per_page": PER_PAGE, "page": page}, headers, sleep=sleep
         )
-        if not payload:
-            return comments
-        comments.extend(payload)
+        if not items:
+            return
+        yield page, items
+        if len(items) < PER_PAGE:
+            return
         page += 1
 
 
@@ -242,20 +247,11 @@ def fetch_issues(
     if state.get("done"):
         log.info("cursor says %s already mined for this window", cursor_key)
         return
-    page = int(state.get("next_page", 1))
     url = f"{API_ROOT}/repos/{project}/issues"
-    while True:
-        params = {
-            "state": "all",
-            "sort": "created",
-            "direction": "asc",
-            "per_page": 100,
-            "page": page,
-            "since": since,
-        }
-        _, payload = _request(transport, url, params, headers, sleep=sleep)
-        if not payload:
-            break
+    params = {"state": "all", "sort": "created", "direction": "asc", "since": since}
+    for page, payload in _pages(
+        transport, url, params, headers, sleep=sleep, page=int(state.get("next_page", 1))
+    ):
         past_window = False
         for raw in payload:
             try:
@@ -267,17 +263,16 @@ def fetch_issues(
                 continue
             if not in_window(raw):
                 continue
-            if "comments" not in raw or not isinstance(raw.get("comments"), list):
+            if not isinstance(raw.get("comments"), list):
                 comments_url = raw.get("comments_url")
-                raw = dict(raw)
-                raw["comments"] = (
-                    _fetch_comments(transport, comments_url, headers, sleep=sleep)
+                comment_pages = (
+                    _pages(transport, comments_url, {}, headers, sleep=sleep)
                     if comments_url
-                    else []
+                    else ()
                 )
+                raw = dict(raw, comments=[c for _, items in comment_pages for c in items])
             yield raw
-        page += 1
-        cursor[cursor_key] = {"next_page": page}
+        cursor[cursor_key] = {"next_page": page + 1}
         _save_cursor(cursor_path, cursor)
         if past_window:
             break

@@ -99,10 +99,20 @@ def normalize_timestamp(value) -> str:
         raise RecordError(f"unparseable timestamp: {value!r}") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    parsed = parsed.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None)
+    try:
+        parsed = parsed.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None)
+    except OverflowError:
+        raise RecordError(f"timestamp outside years 1-9999 in UTC: {value!r}") from None
     # isoformat writes the year with four digits; strftime's %Y does not
     # pad years below 1000.
     return parsed.isoformat() + "Z"
+
+
+def _check_timestamp(value, field_name):
+    try:
+        return normalize_timestamp(value)
+    except RecordError as exc:
+        raise RecordError(exc.message, field=field_name) from None
 
 
 def _set(obj, name, value):
@@ -198,7 +208,7 @@ class Utterance(_Record):
             raise RecordError(f"bad utterance index {self.index!r}", field="index")
         _check_str(self.author, "author", allow_blank=True)
         _check_str(self.body_raw, "body_raw", allow_blank=True)
-        _set(self, "created_at", normalize_timestamp(self.created_at))
+        _set(self, "created_at", _check_timestamp(self.created_at, "created_at"))
         if self.body_tokens is not None:
             _set(self, "body_tokens", _check_tokens(self.body_tokens, "body_tokens"))
 
@@ -235,7 +245,7 @@ class Discussion(_Record):
                 field="issue_number",
             )
         _check_str(self.title, "title")
-        _set(self, "created_at", normalize_timestamp(self.created_at))
+        _set(self, "created_at", _check_timestamp(self.created_at, "created_at"))
 
         utts = tuple(
             u if isinstance(u, Utterance) else Utterance.from_dict(u)
@@ -258,7 +268,7 @@ class Discussion(_Record):
         if self.last_activity_at is None:
             _set(self, "last_activity_at", derived)
         else:
-            declared = normalize_timestamp(self.last_activity_at)
+            declared = _check_timestamp(self.last_activity_at, "last_activity_at")
             if declared != derived:
                 raise RecordError(
                     f"last_activity_at {declared} != derived {derived}",
@@ -292,7 +302,7 @@ class BugFixExample(_Record):
                 f"commit_sha must be 7-40 hex chars, got {self.commit_sha!r}",
                 field="commit_sha",
             )
-        _set(self, "commit_timestamp", normalize_timestamp(self.commit_timestamp))
+        _set(self, "commit_timestamp", _check_timestamp(self.commit_timestamp, "commit_timestamp"))
         if self.split not in SPLITS:
             raise RecordError(
                 f"split must be one of {SPLITS}, got {self.split!r}", field="split"
@@ -467,7 +477,7 @@ class CommitLinkEvent(_Record):
                 f"commit_sha must be 7-40 hex chars, got {self.commit_sha!r}",
                 field="commit_sha",
             )
-        _set(self, "linked_at", normalize_timestamp(self.linked_at))
+        _set(self, "linked_at", _check_timestamp(self.linked_at, "linked_at"))
         if self.link_source not in LINK_SOURCES:
             raise RecordError(
                 f"link_source must be one of {LINK_SOURCES}, got {self.link_source!r}",

@@ -9,7 +9,7 @@ import pytest
 
 import discforge
 from conftest import make_discussion, make_example, make_utterance
-from discforge import storage
+from discforge import ingest, storage
 from discforge.cli import main
 from discforge.records import Candidate
 
@@ -163,6 +163,31 @@ class TestMine:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize(
+        "content, problem", [("[]", "expected a JSON object"), ("{not json", "invalid JSON")]
+    )
+    def test_malformed_cursor_exits_2_before_any_request(
+        self, tmp_path, capsys, monkeypatch, content, problem
+    ):
+        projects, _ = self._write_archive(tmp_path)
+        cursor = tmp_path / "cursor.json"
+        cursor.write_text(content, encoding="utf-8")
+        requests = []
+        monkeypatch.setenv("MINE_TOKEN", "t")
+        monkeypatch.setattr(
+            ingest, "default_transport", lambda *call: requests.append(call) or (200, {}, [])
+        )
+        code = main([
+            "mine", "--projects", str(projects),
+            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+            "--token-env", "MINE_TOKEN", "--cursor", str(cursor), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cursor) in err and problem in err
+        assert requests == []
+
+
 class TestLink:
     def test_end_to_end(self, corpus, tmp_path, capsys):
         bare = tmp_path / "bare.jsonl"
@@ -239,6 +264,22 @@ class TestContext:
         ])
         assert code == 2
         assert "descriptions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+    def test_out_of_range_timestamp_exits_2_naming_line_and_field(
+        self, corpus, tmp_path, capsys, stamp
+    ):
+        rows = jsonl(corpus["discussions"])
+        rows[1]["created_at"] = stamp
+        discussions = tmp_path / "bad.jsonl"
+        storage.write_jsonl(discussions, rows)
+        code = main([
+            "context", "--dataset", str(corpus["dataset"]),
+            "--repr", "whole_discussion", "--discussions", str(discussions),
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 2
+        assert "line 2: field 'created_at'" in capsys.readouterr().err
 
     def test_unknown_repr_rejected_by_parser(self, corpus, tmp_path):
         with pytest.raises(SystemExit) as exc:

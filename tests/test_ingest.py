@@ -1,6 +1,7 @@
 """Mining: archives, the online transport loop, normalization, link extraction."""
 
 import json
+import random
 
 import pytest
 
@@ -40,11 +41,9 @@ def write_archive(root, project, issues):
 
 
 class TestArchive:
-    def test_projects_and_iteration_order(self, tmp_path):
+    def test_iteration_order(self, tmp_path):
         write_archive(tmp_path, "b/b", [raw_issue(2), raw_issue(10), raw_issue(1)])
-        write_archive(tmp_path, "a/a", [raw_issue(5)])
         arc = RawIssueArchive(tmp_path)
-        assert arc.projects() == ["a/a", "b/b"]
         numbers = [i["number"] for i in arc.iter_issues("b/b")]
         assert numbers == [1, 2, 10]
 
@@ -110,22 +109,87 @@ class FakeTransport:
         return 200, {}, step
 
 
+def full_page(first):
+    """A full page of issues numbered from `first`."""
+    return [raw_issue(n) for n in range(first, first + ingest.PER_PAGE)]
+
+
+class PagedTransport:
+    """Serves each URL's item list in full pages of 100; counts requests."""
+
+    def __init__(self, items_by_url):
+        self.items_by_url = items_by_url
+        self.calls = []
+
+    def serve(self, url, page):
+        return self.items_by_url.get(url, [])[(page - 1) * 100:page * 100]
+
+    def __call__(self, url, params, headers):
+        self.calls.append((url, dict(params)))
+        return 200, {}, self.serve(url, params["page"])
+
+
+def reference_pages_until_empty(transport, url):
+    """Every item of a paged list, asking for pages until one is empty."""
+    items, page = [], 1
+    while True:
+        batch = transport.serve(url, page)
+        if not batch:
+            return items
+        items.extend(batch)
+        page += 1
+
+
+ISSUES_URL = f"{ingest.API_ROOT}/repos/p/q/issues"
+COMMENTS_URL = "https://api.example/comments/1"
+_PAGINATION_SIZES = [0, 99, 100, 101, 200] + random.Random(20141).sample(range(351), 20)
+
+
 class TestFetchIssuesOnline:
     def test_pages_until_empty(self, tmp_path):
-        transport = FakeTransport([
-            [raw_issue(1), raw_issue(2)],
-            [raw_issue(3)],
-            [],
-        ])
+        transport = FakeTransport([full_page(1), full_page(101), []])
         got = list(
             fetch_issues(
                 "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
                 transport=transport, sleep=lambda s: None,
             )
         )
-        assert [i["number"] for i in got] == [1, 2, 3]
+        assert [i["number"] for i in got] == list(range(1, 201))
         pages = [c["params"]["page"] for c in transport.calls]
         assert pages == [1, 2, 3]
+
+    def test_issue_pages_end_at_first_short_page(self):
+        for n in _PAGINATION_SIZES:
+            transport = PagedTransport({ISSUES_URL: [raw_issue(i) for i in range(1, n + 1)]})
+            got = list(
+                fetch_issues(
+                    "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
+                    transport=transport, sleep=lambda s: None,
+                )
+            )
+            assert got == reference_pages_until_empty(transport, ISSUES_URL), n
+            assert len(transport.calls) == n // 100 + 1, n
+            assert all(params["per_page"] == 100 for _, params in transport.calls), n
+
+    def test_comment_pages_end_at_first_short_page(self):
+        for n in _PAGINATION_SIZES:
+            issue = raw_issue(1, comments_url=COMMENTS_URL)
+            del issue["comments"]
+            comments = [
+                {"body": f"c{i}", "user": {"login": "bob"}, "created_at": "2014-05-02T10:00:00Z"}
+                for i in range(n)
+            ]
+            transport = PagedTransport({ISSUES_URL: [issue], COMMENTS_URL: comments})
+            got = list(
+                fetch_issues(
+                    "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
+                    transport=transport, sleep=lambda s: None,
+                )
+            )
+            assert got[0]["comments"] == reference_pages_until_empty(transport, COMMENTS_URL), n
+            comment_calls = [params for url, params in transport.calls if url == COMMENTS_URL]
+            assert len(comment_calls) == n // 100 + 1, n
+            assert all(params["per_page"] == 100 for params in comment_calls), n
 
     def test_comments_fetched_when_not_embedded(self):
         issue = raw_issue(1)
@@ -133,10 +197,8 @@ class TestFetchIssuesOnline:
         issue["comments_url"] = "https://api.example/comments/1"
         comment = {"body": "me too", "user": {"login": "bob"}, "created_at": "2014-05-02T10:00:00Z"}
         transport = FakeTransport([
-            [issue],
-            [comment],   # comments page 1
-            [],          # comments page 2 (empty, stop)
-            [],          # issues page 2 (empty, stop)
+            [issue],     # issues page 1 (short, so the last)
+            [comment],   # comments page 1 (short, so the last)
         ])
         got = list(
             fetch_issues(
@@ -145,6 +207,7 @@ class TestFetchIssuesOnline:
             )
         )
         assert got[0]["comments"] == [comment]
+        assert [c["url"] for c in transport.calls] == [ISSUES_URL, issue["comments_url"]]
 
     def test_backoff_on_server_errors(self):
         transport = FakeTransport([
@@ -192,7 +255,7 @@ class TestFetchIssuesOnline:
     def test_cursor_resume_skips_finished_pages(self, tmp_path):
         cursor = tmp_path / "cursor.json"
         first = FakeTransport([
-            [raw_issue(1)],
+            full_page(1),
             (500, {}, None), (500, {}, None), (500, {}, None),
             (500, {}, None), (500, {}, None), (500, {}, None),
         ])
@@ -203,16 +266,19 @@ class TestFetchIssuesOnline:
                     transport=first, cursor_path=str(cursor), sleep=lambda s: None,
                 )
             )
-        # page 1 done; a rerun resumes at page 2
-        second = FakeTransport([[raw_issue(2)], []])
+        # page 1 done; a rerun resumes at page 2, whose short page is the last
+        second = FakeTransport([full_page(101), [raw_issue(201)]])
         got = list(
             fetch_issues(
                 "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
                 transport=second, cursor_path=str(cursor), sleep=lambda s: None,
             )
         )
-        assert [i["number"] for i in got] == [2]
-        assert second.calls[0]["params"]["page"] == 2
+        assert [i["number"] for i in got] == list(range(101, 202))
+        assert [c["params"]["page"] for c in second.calls] == [2, 3]
+        assert json.loads(cursor.read_text()) == {
+            "p/q|2014-05-01T00:00:00Z|2014-06-01T00:00:00Z": {"done": True}
+        }
         # the finished window is not re-mined at all
         third = FakeTransport([[raw_issue(9)]])
         assert list(

@@ -152,6 +152,24 @@ def test_discussion_with_random_stamps_round_trips(tmp_path, years):
     assert list(storage.load_discussions(path).values()) == discussions
 
 
+@pytest.mark.parametrize("year", [1, 9999])
+def test_offsets_near_year_bounds_normalize_or_raise_record_error(year):
+    rng = random.Random(year)
+    for _ in range(2000):
+        local = datetime(year, 1 if year == 1 else 12, rng.choice((1, 2) if year == 1 else (30, 31)))
+        local += timedelta(seconds=rng.randrange(86400))
+        minutes = rng.randint(-(23 * 60 + 59), 23 * 60 + 59)
+        sign = "+" if minutes >= 0 else "-"
+        stamp = f"{local.isoformat()}{sign}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
+        try:
+            expected = (local - timedelta(minutes=minutes)).isoformat() + "Z"
+        except OverflowError:
+            with pytest.raises(RecordError, match="outside years 1-9999"):
+                normalize_timestamp(stamp)
+        else:
+            assert normalize_timestamp(stamp) == expected, stamp
+
+
 class TestDiscussion:
     def test_last_activity_derived_from_latest_utterance(self):
         d = make_discussion(

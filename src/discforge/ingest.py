@@ -108,6 +108,14 @@ def _load_cursor(path) -> dict:
             raise ValueError(f"cursor {path}: invalid JSON: {exc}") from None
     if not isinstance(cursor, dict):
         raise ValueError(f"cursor {path}: expected a JSON object")
+    for key, entry in cursor.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"cursor {path}: entry {key}: expected a JSON object")
+        page = entry.get("next_page", 1)
+        if type(page) is not int or page < 1:
+            raise ValueError(
+                f"cursor {path}: entry {key}: next_page must be a positive integer, got {page!r}"
+            )
     return cursor
 
 
@@ -250,7 +258,7 @@ def fetch_issues(
     url = f"{API_ROOT}/repos/{project}/issues"
     params = {"state": "all", "sort": "created", "direction": "asc", "since": since}
     for page, payload in _pages(
-        transport, url, params, headers, sleep=sleep, page=int(state.get("next_page", 1))
+        transport, url, params, headers, sleep=sleep, page=state.get("next_page", 1)
     ):
         past_window = False
         for raw in payload:
@@ -263,7 +271,11 @@ def fetch_issues(
                 continue
             if not in_window(raw):
                 continue
-            if not isinstance(raw.get("comments"), list):
+            comments = raw.get("comments")
+            if type(comments) is int and comments == 0:
+                # the API's comment count: there is no list to fetch
+                raw = dict(raw, comments=[])
+            elif not isinstance(comments, list):
                 comments_url = raw.get("comments_url")
                 comment_pages = (
                     _pages(transport, comments_url, {}, headers, sleep=sleep)

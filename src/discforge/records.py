@@ -16,12 +16,23 @@ A title's and an utterance's tokens (``Discussion.title_tokens``,
 ``Utterance.tokens``) are computed on first use and then kept on the
 record, so each loaded record is tokenized at most once however many
 contexts render it. Nothing is tokenized at load time.
+
+Loaded records are compact. Every token tuple holds interned strings, so
+equal tokens share one object across a corpus; the interned set is
+bounded by the vocabulary (CPython 3.12 never frees interned strings,
+3.11 and 3.13 do). ``AttentionTrace.weights`` is a tuple of
+``array('d')`` rows, which numpy reads through the buffer protocol. An
+array can be written in place, so those rows are the one exception to
+immutability: nothing in this package writes them, and callers must not.
+A trace cannot be hashed, as was already so whenever ``meta`` was set.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import sys
+from array import array
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -120,6 +131,17 @@ def _set(obj, name, value):
 
 
 def _check_tokens(value, field_name, *, allow_empty_list=True):
+    # Fast path: sys.intern raises TypeError on anything but an exact str,
+    # so it is the type check too. Every other case takes the loop below,
+    # which reports the error (or keeps a str subclass as it is).
+    if isinstance(value, (list, tuple)) and (value or allow_empty_list):
+        try:
+            tokens = tuple(map(sys.intern, value))
+        except TypeError:
+            pass
+        else:
+            if "" not in tokens:
+                return tokens
     if not isinstance(value, (list, tuple)):
         raise RecordError("expected a list of tokens", field=field_name)
     for tok in value:
@@ -145,8 +167,20 @@ def is_hex_sha(value) -> bool:
     return (
         isinstance(value, str)
         and 7 <= len(value) <= 40
-        and all(c in _HEX_DIGITS for c in value)
+        and _HEX_DIGITS.issuperset(value)
     )
+
+
+def _weight_row(row) -> array:
+    """One attention row as packed doubles, converting as float() does."""
+    # Only sequences take the fast path: array() would read bytes as raw
+    # memory, and it rejects what float() parses, such as "0.5".
+    if isinstance(row, (list, tuple, array)):
+        try:
+            return array("d", row)
+        except TypeError:
+            pass
+    return array("d", [float(w) for w in row])
 
 
 @functools.cache
@@ -158,7 +192,7 @@ def _plain(values: tuple) -> list:
     """JSON form of a tuple field: records become dicts, weight rows lists."""
     if values and isinstance(values[0], _Record):
         return [v.to_dict() for v in values]
-    if values and isinstance(values[0], tuple):
+    if values and isinstance(values[0], array):
         return [list(row) for row in values]
     return list(values)
 
@@ -375,7 +409,7 @@ class AttentionTrace(_Record):
     example_id: str
     num_input_tokens: int
     segments: tuple[Segment, ...]
-    weights: tuple[tuple[float, ...], ...]
+    weights: tuple[array, ...]
     meta: dict | None = None
 
     def __post_init__(self):
@@ -406,13 +440,14 @@ class AttentionTrace(_Record):
 
         rows = []
         for step, row in enumerate(self.weights):
-            row = tuple(float(w) for w in row)
+            row = _weight_row(row)
             if len(row) != self.num_input_tokens:
                 raise RecordError(
                     f"row {step} has {len(row)} weights, expected {self.num_input_tokens}",
                     field="weights",
                 )
-            if any(w < 0.0 for w in row):
+            # min() is NaN or negative whenever some weight is negative
+            if not min(row) >= 0.0 and any(w < 0.0 for w in row):
                 raise RecordError(f"row {step} has a negative weight", field="weights")
             total = sum(row)
             if not (1.0 - ROW_SUM_TOLERANCE <= total <= 1.0 + ROW_SUM_TOLERANCE):

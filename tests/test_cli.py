@@ -164,7 +164,17 @@ class TestMine:
 
 
     @pytest.mark.parametrize(
-        "content, problem", [("[]", "expected a JSON object"), ("{not json", "invalid JSON")]
+        "content, problem",
+        [
+            ("[]", "expected a JSON object"),
+            ("{not json", "invalid JSON"),
+            ('{"o/p|a|b": []}', "entry o/p|a|b: expected a JSON object"),
+            ('{"o/p|a|b": "done"}', "entry o/p|a|b: expected a JSON object"),
+            ('{"o/p|a|b": {"next_page": "x"}}', "entry o/p|a|b: next_page must be a positive integer"),
+            ('{"o/p|a|b": {"next_page": 0}}', "entry o/p|a|b: next_page must be a positive integer"),
+            ('{"o/p|a|b": {"next_page": 2.0}}', "entry o/p|a|b: next_page must be a positive integer"),
+            ('{"o/p|a|b": {"next_page": true}}', "entry o/p|a|b: next_page must be a positive integer"),
+        ],
     )
     def test_malformed_cursor_exits_2_before_any_request(
         self, tmp_path, capsys, monkeypatch, content, problem

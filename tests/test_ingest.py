@@ -209,6 +209,39 @@ class TestFetchIssuesOnline:
         assert got[0]["comments"] == [comment]
         assert [c["url"] for c in transport.calls] == [ISSUES_URL, issue["comments_url"]]
 
+    def test_zero_comment_count_requests_no_comments(self):
+        issue = raw_issue(1, comments_url=COMMENTS_URL)
+        issue["comments"] = 0  # the API gives a count, not the list
+        transport = PagedTransport({ISSUES_URL: [issue]})
+        got = list(
+            fetch_issues(
+                "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
+                transport=transport, sleep=lambda s: None,
+            )
+        )
+        assert got == [dict(issue, comments=[])]
+        assert [url for url, _ in transport.calls] == [ISSUES_URL]
+
+    @pytest.mark.parametrize("count", [1, 150])
+    def test_positive_comment_count_pages_the_comments(self, count):
+        issue = raw_issue(1, comments_url=COMMENTS_URL)
+        issue["comments"] = count
+        comments = [
+            {"body": f"c{i}", "user": {"login": "bob"}, "created_at": "2014-05-02T10:00:00Z"}
+            for i in range(count)
+        ]
+        transport = PagedTransport({ISSUES_URL: [issue], COMMENTS_URL: comments})
+        got = list(
+            fetch_issues(
+                "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
+                transport=transport, sleep=lambda s: None,
+            )
+        )
+        assert got[0]["comments"] == comments
+        assert [url for url, _ in transport.calls] == [ISSUES_URL] + [COMMENTS_URL] * (
+            count // 100 + 1
+        )
+
     def test_backoff_on_server_errors(self):
         transport = FakeTransport([
             (500, {}, None),

@@ -1,8 +1,14 @@
 """Record validation and serialization round trips."""
 
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+from array import array
 from datetime import datetime, timedelta, timezone
+from decimal import Decimal
 
 import pytest
 
@@ -19,6 +25,10 @@ from discforge.records import (
     Segment,
     ContextSpec,
     Utterance,
+    ROW_SUM_TOLERANCE,
+    _HEX_DIGITS,
+    _check_tokens,
+    is_hex_sha,
     normalize_timestamp,
 )
 
@@ -460,3 +470,230 @@ class TestFromDict:
     def test_not_an_object(self, value):
         with pytest.raises(RecordError, match="expected a JSON object"):
             Candidate.from_dict(value)
+
+
+# ---------------------------------------------------------------------------
+# Compact loaded records: the fast paths must decide, return and report
+# exactly what these earlier implementations did.
+
+
+def _old_check_tokens(value, field_name, *, allow_empty_list=True):
+    if not isinstance(value, (list, tuple)):
+        raise RecordError("expected a list of tokens", field=field_name)
+    for tok in value:
+        if not isinstance(tok, str):
+            raise RecordError(f"token {tok!r} is not a string", field=field_name)
+        if tok == "":
+            raise RecordError("empty-string token", field=field_name)
+    if not allow_empty_list and not value:
+        raise RecordError("token list must not be empty", field=field_name)
+    return tuple(value)
+
+
+def _old_weight_rows(weights, num_input_tokens):
+    rows = []
+    for step, row in enumerate(weights):
+        row = tuple(float(w) for w in row)
+        if len(row) != num_input_tokens:
+            raise RecordError(
+                f"row {step} has {len(row)} weights, expected {num_input_tokens}",
+                field="weights",
+            )
+        if any(w < 0.0 for w in row):
+            raise RecordError(f"row {step} has a negative weight", field="weights")
+        total = sum(row)
+        if not (1.0 - ROW_SUM_TOLERANCE <= total <= 1.0 + ROW_SUM_TOLERANCE):
+            raise RecordError(
+                f"row {step} sums to {total:.6f}, not a normalized distribution",
+                field="weights",
+            )
+        rows.append(row)
+    return tuple(rows)
+
+
+def _old_is_hex_sha(value) -> bool:
+    """True for a 7-40 character hex string (abbreviated or full sha)."""
+    return (
+        isinstance(value, str)
+        and 7 <= len(value) <= 40
+        and all(c in _HEX_DIGITS for c in value)
+    )
+
+
+class _Tok(str):
+    pass
+
+
+def _raised(fn, *args, **kwargs):
+    """("ok", result) or ("error", type, message, field) for one call."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:  # the oracle compares every failure, typed
+        return "error", type(exc), str(exc), getattr(exc, "field", None)
+
+
+_TOKEN_POOL = ["int", "getValue", ";", "(", "x", "", "héllo", "✓", _Tok("sub"), _Tok("")]
+_NOT_STRINGS = [None, 0, 1.5, b"abc", ("t",), ["t"]]
+
+
+def _random_token_value(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice([None, "abc", 7, {"a": 1}, {"t"}, iter(["t"]), b"tok"])
+    items = [rng.choice(_TOKEN_POOL) for _ in range(rng.randrange(0, 6))]
+    if rng.random() < 0.2:
+        items.insert(rng.randrange(len(items) + 1), rng.choice(_NOT_STRINGS))
+    return items if rng.random() < 0.5 else tuple(items)
+
+
+def test_check_tokens_matches_old_oracle():
+    rng = random.Random(8)
+    cases = [([], True), ([], False), ((), False), ([""], True), ([_Tok("a")], False)]
+    cases += [(_random_token_value(rng), rng.random() < 0.5) for _ in range(5000)]
+    for value, allow in cases:
+        new = _raised(_check_tokens, value, "f", allow_empty_list=allow)
+        old = _raised(_old_check_tokens, value, "f", allow_empty_list=allow)
+        assert new == old, (value, allow)
+        if new[0] == "ok":
+            # a str subclass is kept as it is; exact strings come back equal
+            assert [type(t) for t in new[1]] == [type(t) for t in old[1]], value
+
+
+_EDGE_SUMS = [
+    s
+    for bound in (1.0 - ROW_SUM_TOLERANCE, 1.0 + ROW_SUM_TOLERANCE)
+    for s in (bound, math.nextafter(bound, 0.0), math.nextafter(bound, 2.0))
+]
+
+
+def _verdict(outcome):
+    if outcome[0] == "ok":
+        return "ok"
+    if outcome[1] is not RecordError:
+        return outcome[1].__name__
+    return next(k for k in ("negative", "expected", "sums to") if k in outcome[2])
+
+
+def _random_weight(rng):
+    return rng.choice([
+        0, 1, True, False, 0.5, "0.5", "1", "abc", Decimal("0.25"), Decimal("1"),
+        math.nan, math.inf, -math.inf, -0.25, -0.0, 1e-300, rng.random(),
+    ])
+
+
+def _random_weights(rng, n):
+    rows = []
+    for _ in range(rng.randrange(0, 4)):
+        roll = rng.random()
+        if roll < 0.3:
+            total = rng.choice(_EDGE_SUMS)
+            row = [total] if n == 1 else [total / 2, total / 2] + [0.0] * (n - 2)
+            rng.shuffle(row)
+        elif roll < 0.6:
+            ints = [rng.randint(0, 3) for _ in range(n)]
+            ints[rng.randrange(n)] += 1
+            row = [v / sum(ints) for v in ints]
+        else:
+            row = [_random_weight(rng) for _ in range(n)]
+        if rng.random() < 0.15:  # wrong length
+            row = row[1:] if rng.random() < 0.5 else row + [0.0]
+        if row and rng.random() < 0.2:
+            row[rng.randrange(len(row))] = _random_weight(rng)
+        rows.append(row if rng.random() < 0.5 else tuple(row))
+    return tuple(rows)
+
+
+def test_weight_rows_match_old_oracle():
+    rng = random.Random(88)
+    outcomes = set()
+    # rows that are not lists or tuples: bytes read as numbers, not as memory
+    cases = [
+        (1, lambda: (b"\x01",)),
+        (2, lambda: (bytearray(b"\x00\x01"),)),
+        (8, lambda: (b"\x00" * 7 + b"\x01",)),
+        (2, lambda: (iter((0.5, 0.5)),)),
+        (2, lambda: (array("d", [0.5, 0.5]),)),
+        (1, lambda: ("1",)),
+        (3, lambda: ("0.5",)),
+    ]
+    for _ in range(4000):
+        n = rng.randint(1, 4)
+        weights = _random_weights(rng, n)
+        cases.append((n, lambda weights=weights: weights))
+    for n, make in cases:
+        weights = make()
+        old = _raised(_old_weight_rows, weights, n)
+        new = _raised(AttentionTrace, "e1", n, (), make())
+        outcomes.add(_verdict(old))
+        if old[0] == "error":
+            assert new == old, weights
+            continue
+        assert new[0] == "ok", (weights, new)
+        trace = new[1]
+        assert all(type(row) is array for row in trace.weights)
+        assert tuple(tuple(row) for row in trace.weights) == old[1]
+        expected = {"example_id": "e1", "num_input_tokens": n, "segments": [],
+                    "weights": [list(row) for row in old[1]]}
+        assert json.dumps(trace.to_dict()) == json.dumps(expected)
+    # every verdict was reached: acceptance, each message, and float()'s error
+    assert outcomes == {"ok", "negative", "expected", "sums to", "ValueError"}
+
+
+def test_row_sums_at_the_tolerance_bounds():
+    accepted = []
+    for total in _EDGE_SUMS:
+        for row in ([total], [total / 2, total / 2]):
+            old = _raised(_old_weight_rows, (row,), len(row))
+            new = _raised(AttentionTrace, "e1", len(row), (), (row,))
+            assert _verdict(new) == _verdict(old), row
+            assert new[0] == "ok" or new[1:] == old[1:], row
+            accepted.append(new[0] == "ok")
+    # per bound: the bound itself, one step down, one step up (two rows each);
+    # the bounds and the steps inside them pass, the steps outside do not
+    lower, upper = [True, False, True], [True, True, False]
+    assert accepted == [ok for ok in lower + upper for _ in range(2)]
+
+
+def test_is_hex_sha_matches_old_oracle():
+    rng = random.Random(40)
+    chars = "0123456789abcdefABCDEFgxzG ٣１é-"
+    values = [None, 7, 0xABCDEF0, b"abcdef0", ["abcdef0"], 1.5, "", "٣" * 7, "１" * 7]
+    values += [
+        "".join(rng.choice(chars if rng.random() < 0.3 else "0123456789abcdefABCDEF")
+                for _ in range(rng.randrange(0, 46)))
+        for _ in range(5000)
+    ]
+    for value in values:
+        assert is_hex_sha(value) == _old_is_hex_sha(value), value
+
+
+def test_loaded_examples_share_token_objects(tmp_path):
+    tokens = ("getValue", "return", "counter", ";")
+    storage.save_dataset(
+        tmp_path / "d.jsonl",
+        [
+            make_example(ex_id=f"e{i}", buggy=tokens, fixed=tokens[::-1], method=("getValue",))
+            for i in range(2)
+        ],
+    )
+    first, second = storage.load_dataset(tmp_path / "d.jsonl")
+    for a, b in zip(first.buggy_tokens, second.buggy_tokens):
+        assert a is b
+    assert first.buggy_tokens[0] is second.method_tokens[0] is first.fixed_tokens[-1]
+
+
+def test_loading_traces_leaves_numpy_unloaded(tmp_path):
+    storage.save_attention_trace(
+        tmp_path / "t.json", AttentionTrace("e1", 2, (), ((0.5, 0.5), (0.25, 0.75)))
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(storage.__file__)))
+    probe = (
+        "import sys; from discforge import storage; "
+        f"t = storage.load_traces({str(tmp_path)!r}); "
+        "print(len(t['e1'].weights), 'numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["2", "False"]

@@ -34,8 +34,6 @@ from .textproc import code_tokenize, subtokenize
 
 log = logging.getLogger("discforge")
 
-TOKEN_ENV_POINTER = "DISC_FORGE_TOKEN_ENV"
-
 
 def _add_common(sp):
     sp.add_argument("--config", help="JSON file of default values for this command's flags")
@@ -69,11 +67,7 @@ def build_parser():
     sp.add_argument("--until", required=True, help="window end, ISO-8601 (exclusive)")
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--archive", help="read issues from this archive directory")
-    src.add_argument(
-        "--token-env",
-        help="name of the environment variable holding the API token "
-        f"(or set {TOKEN_ENV_POINTER} to that name)",
-    )
+    src.add_argument("--token-env", help="name of the environment variable holding the API token")
     sp.add_argument("--commits", help="JSON file mapping project -> commit records")
     sp.add_argument("--cursor", help="checkpoint file for resuming online mining")
     sp.add_argument("--out", required=True, help="output directory")
@@ -151,7 +145,8 @@ def _apply_config(parser, sub_by_name, argv):
     """Pre-scan for --config; its values become subcommand defaults.
 
     The scan happens before the real parse so a config value can satisfy a
-    required flag. Explicit flags always override config values.
+    required flag or exclusive group. Explicit flags always override config
+    values; in an exclusive group, any explicit member overrides them all.
     """
     config_path = None
     for i, tok in enumerate(argv):
@@ -160,6 +155,7 @@ def _apply_config(parser, sub_by_name, argv):
         elif tok.startswith("--config="):
             config_path = tok.split("=", 1)[1]
     command = argv[0] if argv and argv[0] in sub_by_name else None
+    group_defaults = []
     if config_path and command:
         with open(config_path, "r", encoding="utf-8") as f:
             try:
@@ -176,11 +172,23 @@ def _apply_config(parser, sub_by_name, argv):
             if dest not in valid:
                 raise ValueError(f"--config {config_path}: unknown key {key!r}")
             defaults[dest] = value
+        # A group member's config value applies only when no member is given.
+        for group in sp._mutually_exclusive_groups:
+            given = [a.dest for a in group._group_actions if a.dest in defaults]
+            if len(given) > 1:
+                raise ValueError(f"--config {config_path}: {' and '.join(given)} exclude each other")
+            if given:
+                group.required = False
+                group_defaults.append((group, given[0], defaults.pop(given[0])))
         sp.set_defaults(**defaults)
         for action in sp._actions:
             if action.dest in defaults:
                 action.required = False
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    for group, dest, value in group_defaults:
+        if all(getattr(args, a.dest) == a.default for a in group._group_actions):
+            setattr(args, dest, value)
+    return args
 
 
 def _digests(paths) -> dict:
@@ -216,9 +224,6 @@ def _cmd_mine(args) -> tuple[int, dict]:
             commits_by_project = json.load(f)
         if not isinstance(commits_by_project, dict):
             raise ValueError(f"--commits {args.commits}: expected a JSON object keyed by project")
-    token_env = args.token_env or (
-        None if args.archive else os.environ.get(TOKEN_ENV_POINTER)
-    )
     os.makedirs(args.out, exist_ok=True)
     report = ingest.mine_projects(
         projects,
@@ -226,7 +231,7 @@ def _cmd_mine(args) -> tuple[int, dict]:
         args.until,
         args.out,
         archive_root=args.archive,
-        token_env=token_env,
+        token_env=args.token_env,
         commits_by_project=commits_by_project,
         cursor_path=args.cursor,
     )

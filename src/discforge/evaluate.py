@@ -1,14 +1,15 @@
 """Evaluation: exact match, paired bootstrap significance, dataset stats.
 
-The bootstrap runs on one thread and uses one PCG64 stream per resample,
-derived from SeedSequence(seed, spawn_key=(i,)), so the i-th resample's
-indices depend only on the seed and i. All resample comparisons are done in
+The bootstrap draws every resample from one PCG64 stream seeded with the
+given seed, in order: resample i takes the next sample_size indices, so it
+depends only on the seed, i, n and sample_size, and a run with more
+resamples begins with the same ones. All resample comparisons are done in
 integer arithmetic, never floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .linking import prepare_discussions
 from .records import SPLITS, EvalReport
@@ -57,16 +58,7 @@ class BootstrapResult:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "p_value": round(self.p_value, 4),
-            "delta": self.delta,
-            "rate_a": self.rate_a,
-            "rate_b": self.rate_b,
-            "n": self.n,
-            "n_samples": self.n_samples,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "p_value": round(self.p_value, 4)}
 
 
 def paired_bootstrap(
@@ -118,10 +110,8 @@ def paired_bootstrap(
     # integral.
     threshold = 2 * D * sample_size
     twice = 0
-    for i in range(n_samples):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        )
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(n_samples):
         idx = rng.integers(0, n, size=sample_size)
         ds = int(diff[idx].sum()) * n
         if ds > threshold:

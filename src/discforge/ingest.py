@@ -149,6 +149,10 @@ def default_transport(url, params, headers):
     return resp.status_code, dict(resp.headers), payload
 
 
+class _TrackerError(RuntimeError, OSError):
+    """A request that failed for good: an I/O failure, so the CLI exits 2."""
+
+
 def _request(transport, url, params, headers, *, sleep, max_retries=5):
     """One logical GET with exponential backoff and rate-limit waits."""
     attempt = 0
@@ -156,31 +160,28 @@ def _request(transport, url, params, headers, *, sleep, max_retries=5):
         try:
             status, resp_headers, payload = transport(url, params, headers)
         except Exception as exc:
-            if attempt >= max_retries:
-                raise RuntimeError(f"transport kept failing for {url}: {exc}") from exc
-            sleep(min(60.0, 2.0**attempt))
-            attempt += 1
-            continue
-        if status in (403, 429) and resp_headers.get("X-RateLimit-Remaining") == "0":
-            reset = resp_headers.get("X-RateLimit-Reset")
-            delay = 60.0
-            if reset:
-                try:
-                    delay = max(1.0, float(reset) - time.time() + 1.0)
-                except ValueError:
-                    pass
-            log.info("rate limited; sleeping %.0fs", delay)
-            sleep(delay)
-            continue
-        if status >= 500:
-            if attempt >= max_retries:
-                raise RuntimeError(f"{url} kept returning {status}")
-            sleep(min(60.0, 2.0**attempt))
-            attempt += 1
-            continue
-        if status >= 400:
-            raise RuntimeError(f"{url} returned {status}")
-        return resp_headers, payload
+            failure, cause = f"transport kept failing for {url}: {exc}", exc
+        else:
+            if status in (403, 429) and resp_headers.get("X-RateLimit-Remaining") == "0":
+                reset = resp_headers.get("X-RateLimit-Reset")
+                delay = 60.0
+                if reset:
+                    try:
+                        delay = max(1.0, float(reset) - time.time() + 1.0)
+                    except ValueError:
+                        pass
+                log.info("rate limited; sleeping %.0fs", delay)
+                sleep(delay)
+                continue
+            if status < 400:
+                return resp_headers, payload
+            if status < 500:
+                raise _TrackerError(f"{url} returned {status}")
+            failure, cause = f"{url} kept returning {status}", None
+        if attempt >= max_retries:
+            raise _TrackerError(failure) from cause
+        sleep(min(60.0, 2.0**attempt))
+        attempt += 1
 
 
 def _pages(transport, url, params, headers, *, sleep, page=1):

@@ -48,18 +48,23 @@ def order_discussions(discussions) -> list[Discussion]:
     )
 
 
+def _resolve(example_id, ids, cutoff, discussions) -> list[Discussion]:
+    """Resolve ids to discussions, temporally filter them, and order them."""
+    resolved = []
+    for disc_id in ids:
+        disc = discussions.get(disc_id)
+        if disc is None:
+            log.warning("example %s references unknown discussion %s", example_id, disc_id)
+            continue
+        resolved.append(temporal_filter(disc, cutoff))
+    return order_discussions(resolved)
+
+
 def prepare_discussions(
     example: BugFixExample, discussions: dict[str, Discussion]
 ) -> list[Discussion]:
     """Resolve, temporally filter, and order an example's discussions."""
-    resolved = []
-    for disc_id in example.discussion_ids:
-        disc = discussions.get(disc_id)
-        if disc is None:
-            log.warning("example %s references unknown discussion %s", example.id, disc_id)
-            continue
-        resolved.append(temporal_filter(disc, example.commit_timestamp))
-    return order_discussions(resolved)
+    return _resolve(example.id, example.discussion_ids, example.commit_timestamp, discussions)
 
 
 def attach_discussions(examples, links, discussions):
@@ -67,16 +72,14 @@ def attach_discussions(examples, links, discussions):
 
     Links carry full or abbreviated commit shas; an event matches an
     example when one sha is a prefix of the other (both at least 7 hex
-    chars, enforced by the record types). Events naming an unknown
+    chars, enforced by the record types). Ids and events naming an unknown
     discussion are logged and ignored. Each example's discussion_ids come
     out temporally filtered and ordered, most recent activity first.
 
     Returns (linked_examples, dropped_examples): examples that end up
-    with no discussion go to the dropped list unchanged.
+    with no known discussion go to the dropped list unchanged.
     """
-    by_key = {}
-    for disc in discussions.values():
-        by_key[(disc.project, disc.issue_number)] = disc.id
+    by_key = {(d.project, d.issue_number): d.id for d in discussions.values()}
 
     # Bucket link events by the first 7 sha chars so prefix matching stays
     # linear over realistic corpora.
@@ -86,8 +89,7 @@ def attach_discussions(examples, links, discussions):
 
     linked, dropped = [], []
     for ex in examples:
-        ids = list(ex.discussion_ids)
-        seen = set(ids)
+        ids = dict.fromkeys(ex.discussion_ids)  # insertion-ordered set
         for event in buckets.get(ex.commit_sha[:7].lower(), ()):
             ev_sha = event.commit_sha.lower()
             ex_sha = ex.commit_sha.lower()
@@ -104,18 +106,12 @@ def attach_discussions(examples, links, discussions):
                     ex.id,
                 )
                 continue
-            if disc_id not in seen:
-                seen.add(disc_id)
-                ids.append(disc_id)
-        if not ids:
+            ids[disc_id] = None
+        ordered = _resolve(ex.id, ids, ex.commit_timestamp, discussions)
+        if not ordered:
             dropped.append(ex)
             continue
-        ordered = prepare_discussions(
-            dataclasses.replace(ex, discussion_ids=tuple(ids)), discussions
-        )
         linked.append(
-            dataclasses.replace(
-                ex, discussion_ids=tuple(d.id for d in ordered)
-            )
+            dataclasses.replace(ex, discussion_ids=tuple(d.id for d in ordered))
         )
     return linked, dropped

@@ -171,8 +171,8 @@ def is_hex_sha(value) -> bool:
     )
 
 
-def _weight_row(row) -> array:
-    """One attention row as packed doubles, converting as float() does."""
+def _weight_row(row, step) -> array:
+    """Attention row `step` as packed doubles, converting as float() does."""
     # Only sequences take the fast path: array() would read bytes as raw
     # memory, and it rejects what float() parses, such as "0.5".
     if isinstance(row, (list, tuple, array)):
@@ -180,7 +180,10 @@ def _weight_row(row) -> array:
             return array("d", row)
         except TypeError:
             pass
-    return array("d", [float(w) for w in row])
+    try:
+        return array("d", [float(w) for w in row])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RecordError(f"row {step} is not a list of numbers: {exc}", field="weights") from None
 
 
 @functools.cache
@@ -440,7 +443,7 @@ class AttentionTrace(_Record):
 
         rows = []
         for step, row in enumerate(self.weights):
-            row = _weight_row(row)
+            row = _weight_row(row, step)
             if len(row) != self.num_input_tokens:
                 raise RecordError(
                     f"row {step} has {len(row)} weights, expected {self.num_input_tokens}",

@@ -104,12 +104,13 @@ def save_discussions(path, discussions) -> None:
 
 def load_attention_trace(path) -> AttentionTrace:
     """Load and validate one attention trace JSON document."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"invalid JSON in {path}: {exc}") from None
-    return AttentionTrace.from_dict(obj)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return AttentionTrace.from_dict(json.load(f))
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"invalid JSON in {path}: {exc}") from None
+    except RecordError as exc:
+        raise RecordError(f"trace {path}: {exc.message}", field=exc.field) from None
 
 
 def save_attention_trace(path, trace: AttentionTrace) -> None:

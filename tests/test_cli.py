@@ -14,6 +14,7 @@ from discforge.cli import main
 from discforge.records import Candidate
 
 FULL_SHA = "ab12cd34e56f78901a2b3c4d5e6f78901a2b3c4d"
+TOML4J = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "toml4j")
 
 
 def jsonl(path):
@@ -197,6 +198,77 @@ class TestMine:
         assert str(cursor) in err and problem in err
         assert requests == []
 
+    def _mine_online(self, tmp_path, *extra):
+        projects, _ = self._write_archive(tmp_path)
+        return main([
+            "mine", "--projects", str(projects),
+            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+            "--out", str(tmp_path / "o"), "--run-log", str(tmp_path / "runs.jsonl"), *extra,
+        ])
+
+    @pytest.mark.parametrize(
+        "respond, problem",
+        [
+            (lambda: (404, {}, None), "returned 404"),
+            (lambda: (500, {}, None), "kept returning 500"),
+            (lambda: 1 / 0, "transport kept failing"),
+        ],
+        ids=["404", "persistent-500", "raising-transport"],
+    )
+    def test_tracker_failure_exits_2_with_run_log(
+        self, tmp_path, capsys, monkeypatch, respond, problem
+    ):
+        monkeypatch.setenv("MINE_TOKEN", "t")
+        monkeypatch.setattr(ingest, "default_transport", lambda *call: respond())
+        monkeypatch.setitem(ingest.mine_projects.__kwdefaults__, "sleep", lambda s: None)
+        assert self._mine_online(tmp_path, "--token-env", "MINE_TOKEN") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err and "Traceback" not in err
+        (entry,) = jsonl(tmp_path / "runs.jsonl")
+        assert entry["exit_code"] == 2 and problem in entry["error"]
+
+    @pytest.mark.parametrize("key", ["archive", "token_env"])
+    def test_config_satisfies_archive_or_token_env(self, tmp_path, monkeypatch, key):
+        requests = []
+        monkeypatch.setenv("MINE_TOKEN", "t")
+        monkeypatch.setattr(
+            ingest, "default_transport", lambda *call: requests.append(call) or (200, {}, [])
+        )
+        cfg = tmp_path / "cfg.json"
+        value = str(tmp_path / "arc") if key == "archive" else "MINE_TOKEN"
+        cfg.write_text(json.dumps({key: value, "fail_threshold": 1}), encoding="utf-8")
+        assert self._mine_online(tmp_path, "--config", str(cfg)) == 0
+        rows = jsonl(tmp_path / "o" / "discussions" / "demo__proj.jsonl")
+        if key == "archive":
+            assert requests == [] and [r["id"] for r in rows] == ["demo/proj#18"]
+        else:
+            assert len(requests) == 1 and rows == []
+
+    @pytest.mark.parametrize("key", ["archive", "token_env"])
+    def test_explicit_flag_overrides_the_other_config_key(self, tmp_path, monkeypatch, key):
+        requests = []
+        monkeypatch.setenv("MINE_TOKEN", "t")
+        monkeypatch.setattr(
+            ingest, "default_transport", lambda *call: requests.append(call) or (200, {}, [])
+        )
+        cfg = tmp_path / "cfg.json"
+        if key == "archive":
+            cfg.write_text(json.dumps({"archive": str(tmp_path / "arc")}), encoding="utf-8")
+            flag = ["--token-env", "MINE_TOKEN"]
+        else:
+            cfg.write_text(json.dumps({"token_env": "NO_SUCH_VAR"}), encoding="utf-8")
+            flag = ["--archive", str(tmp_path / "arc"), "--fail-threshold", "1"]
+        assert self._mine_online(tmp_path, "--config", str(cfg), *flag) == 0
+        assert (requests != []) == (key == "archive")
+
+    def test_config_with_both_keys_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"archive": str(tmp_path / "arc"), "token_env": "T"}), encoding="utf-8"
+        )
+        assert self._mine_online(tmp_path, "--config", str(cfg)) == 2
+        assert "exclude each other" in capsys.readouterr().err
+
 
 class TestLink:
     def test_end_to_end(self, corpus, tmp_path, capsys):
@@ -274,6 +346,31 @@ class TestContext:
         ])
         assert code == 2
         assert "descriptions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weight, problem",
+        [(None, "NoneType"), ("abc", "could not convert string to float")],
+    )
+    def test_bad_trace_weight_exits_2_naming_file_field_and_row(
+        self, corpus, tmp_path, capsys, weight, problem
+    ):
+        with open(os.path.join(TOML4J, "trace.json"), encoding="utf-8") as f:
+            trace = json.load(f)
+        trace["weights"][1][3] = weight
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace), encoding="utf-8")
+        run_log = tmp_path / "runs.jsonl"
+        code = main([
+            "context", "--dataset", str(corpus["dataset"]),
+            "--repr", "attended_segments", "--discussions", str(corpus["discussions"]),
+            "--traces", str(path), "--out", str(tmp_path / "x.jsonl"),
+            "--run-log", str(run_log),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field 'weights': trace {path}: row 1 ")
+        assert problem in err
+        assert jsonl(run_log)[0]["exit_code"] == 2
 
     @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
     def test_out_of_range_timestamp_exits_2_naming_line_and_field(

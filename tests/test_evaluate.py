@@ -1,6 +1,9 @@
 """Exact match, bootstrap significance, oracle combination, corpus stats."""
 
+import math
+import random
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +143,86 @@ class TestPairedBootstrap:
         d = r.to_dict()
         assert d["n"] == 4 and d["n_samples"] == 50 and d["sample_size"] == 20
         assert d["seed"] == 4 and d["rate_a"] == 50.0 and d["rate_b"] == 50.0
+
+
+def _one_stream_p(a, b, n_samples, sample_size, seed):
+    """Reference (p, ties): resamples drawn in order from one PCG64(seed), in fractions."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = len(a)
+    twice_observed = 2 * Fraction(sum(a) - sum(b), n)
+    exceed, ties = Fraction(0), 0
+    for _ in range(n_samples):
+        idx = rng.integers(0, n, size=sample_size).tolist()
+        gap = Fraction(sum(a[j] - b[j] for j in idx), sample_size)
+        if gap > twice_observed:
+            exceed += 1
+        elif gap == twice_observed:
+            exceed += Fraction(1, 2)
+            ties += 1
+    return exceed / n_samples, ties
+
+
+def _per_resample_stream_p(a, b, n_samples, sample_size, seed):
+    """The earlier rule: resample i drew from SeedSequence(seed, spawn_key=(i,))."""
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
+    n = int(a.size)
+    diff = a.astype(np.int64) - b.astype(np.int64)
+    threshold = 2 * int(diff.sum()) * sample_size
+    twice = 0
+    for i in range(n_samples):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        )
+        idx = rng.integers(0, n, size=sample_size)
+        ds = int(diff[idx].sum()) * n
+        if ds > threshold:
+            twice += 2
+        elif ds == threshold:
+            twice += 1
+    return twice / (2.0 * n_samples)
+
+
+def _random_pair(rng, n, flip):
+    """Aligned outcome vectors, a at least as strong as b."""
+    a = [rng.random() < 0.5 for _ in range(n)]
+    b = [x if rng.random() > flip else not x for x in a]
+    return (a, b) if sum(a) >= sum(b) else (b, a)
+
+
+class TestBootstrapStream:
+    def test_matches_one_stream_reference(self):
+        rng = random.Random(7)
+        with_ties = 0
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            a, b = _random_pair(rng, n, rng.choice([0.0, 0.1, 0.5]))
+            n_samples, sample_size = rng.randint(1, 60), rng.randint(1, 50)
+            seed = rng.choice([0, 1, rng.randrange(2**32), rng.randrange(2**70)])
+            got = paired_bootstrap(
+                a, b, n_samples=n_samples, sample_size=sample_size, seed=seed
+            ).p_value
+            want, ties = _one_stream_p(
+                [int(x) for x in a], [int(x) for x in b], n_samples, sample_size, seed
+            )
+            assert got == float(want), (a, b, n_samples, sample_size, seed)
+            with_ties += 0 < ties < n_samples
+        assert with_ties >= 10  # ties mixed with other outcomes, not only a == b
+
+    def test_agrees_with_per_resample_streams(self):
+        rng = random.Random(11)
+        n_samples = 1000
+        for _ in range(30):
+            n = rng.randint(20, 400)
+            a, b = _random_pair(rng, n, rng.choice([0.05, 0.2, 0.5]))
+            sample_size, seed = rng.randint(20, 400), rng.randrange(2**32)
+            new = paired_bootstrap(
+                a, b, n_samples=n_samples, sample_size=sample_size, seed=seed
+            ).p_value
+            old = _per_resample_stream_p(a, b, n_samples, sample_size, seed)
+            p_bar = (new + old) / 2
+            se = math.sqrt(max(p_bar * (1 - p_bar), 1 / n_samples) * 2 / n_samples)
+            assert abs(new - old) <= 5 * se, (n, sample_size, seed, new, old)
 
 
 class TestBestExactMatch:

@@ -7,7 +7,7 @@ from discforge.linking import (
     prepare_discussions,
     temporal_filter,
 )
-from discforge.records import CommitLinkEvent
+from discforge.records import BugFixExample, CommitLinkEvent
 
 
 def disc_with_times(times, disc_id="p/q#1", number=1):
@@ -187,3 +187,38 @@ class TestAttachDiscussions:
             [ex], [link(1, FULL_SHA.upper()[:12])], self.discussions
         )
         assert linked[0].discussion_ids == ("demo/proj#1",)
+
+    def test_only_unknown_ids_drop_example_unchanged(self):
+        ex = make_example(sha=FULL_SHA, discussion_ids=("o/p#9",))
+        linked, dropped = attach_discussions([ex], [], self.discussions)
+        assert linked == []
+        assert dropped == [ex] and dropped[0] is ex
+
+    def test_mixed_ids_keep_the_known_ones_ordered(self):
+        ex = make_example(
+            sha=FULL_SHA, discussion_ids=("o/p#9", "demo/proj#1", "o/p#8")
+        )
+        linked, dropped = attach_discussions([ex], [link(2, FULL_SHA)], self.discussions)
+        assert dropped == []
+        assert linked[0].discussion_ids == ("demo/proj#2", "demo/proj#1")
+
+    def test_one_example_built_per_linked_example(self, monkeypatch):
+        examples = [
+            make_example(ex_id="e1", sha=FULL_SHA),
+            make_example(ex_id="e2", sha=FULL_SHA, discussion_ids=("demo/proj#2",)),
+            make_example(ex_id="e3", sha="9" * 40),
+        ]
+        built = []
+        post_init = BugFixExample.__post_init__
+
+        def counting(self):
+            built.append(self.id)
+            post_init(self)
+
+        monkeypatch.setattr(BugFixExample, "__post_init__", counting)
+        linked, dropped = attach_discussions(
+            examples, [link(1, FULL_SHA)], self.discussions
+        )
+        assert [ex.id for ex in linked] == ["e1", "e2"]
+        assert [ex.id for ex in dropped] == ["e3"]
+        assert built == ["e1", "e2"]

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 when per-record failures exceed --fail-threshold,
-2 for configuration and usage errors. A JSON file passed as --config
-supplies defaults for the chosen subcommand; explicit flags always win.
-Every run can append one machine-readable line to --run-log.
+Exit codes: 0 success; 1 when `mine` skips more malformed issues than
+its --fail-threshold allows (no other command exits 1); 2 for
+configuration, usage and input errors. A JSON file passed as --config
+(spelled out in full) supplies defaults for the chosen subcommand;
+explicit flags always win. Every run can append one machine-readable
+line to --run-log.
 """
 
 from __future__ import annotations
@@ -32,18 +34,10 @@ from .linking import attach_discussions
 from .records import CONTEXT_KINDS, ContextSpec, RecordError, record_digest
 from .textproc import code_tokenize, subtokenize
 
-log = logging.getLogger("discforge")
-
 
 def _add_common(sp):
     sp.add_argument("--config", help="JSON file of default values for this command's flags")
     sp.add_argument("--run-log", help="append a machine-readable JSON line describing this run")
-    sp.add_argument(
-        "--fail-threshold",
-        type=int,
-        default=0,
-        help="tolerate up to this many per-record failures before exiting 1",
-    )
     sp.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
 
@@ -71,6 +65,12 @@ def build_parser():
     sp.add_argument("--commits", help="JSON file mapping project -> commit records")
     sp.add_argument("--cursor", help="checkpoint file for resuming online mining")
     sp.add_argument("--out", required=True, help="output directory")
+    sp.add_argument(
+        "--fail-threshold",
+        type=int,
+        default=0,
+        help="tolerate up to this many skipped issues before exiting 1",
+    )
 
     sp = command("link", help="attach mined discussions to bug-fix examples")
     sp.add_argument("--examples", required=True)
@@ -185,6 +185,9 @@ def _apply_config(parser, sub_by_name, argv):
             if action.dest in defaults:
                 action.required = False
     args = parser.parse_args(argv)
+    if args.config != config_path:
+        # argparse took an abbreviation of --config that the scan above missed.
+        raise ValueError(f"--config {args.config}: an abbreviated --config is not read; spell it out")
     for group, dest, value in group_defaults:
         if all(getattr(args, a.dest) == a.default for a in group._group_actions):
             setattr(args, dest, value)
@@ -221,9 +224,18 @@ def _cmd_mine(args) -> tuple[int, dict]:
     commits_by_project = None
     if args.commits:
         with open(args.commits, "r", encoding="utf-8") as f:
-            commits_by_project = json.load(f)
+            try:
+                commits_by_project = json.load(f)
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+                raise ValueError(f"--commits {args.commits}: invalid JSON: {exc}") from None
         if not isinstance(commits_by_project, dict):
             raise ValueError(f"--commits {args.commits}: expected a JSON object keyed by project")
+        # Check every project's commits before the first request or write.
+        for project, commits in commits_by_project.items():
+            try:
+                ingest._normalize_commit_records(commits)
+            except RecordError as exc:
+                raise ValueError(f"--commits {args.commits}: project {project}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     report = ingest.mine_projects(
         projects,
@@ -261,35 +273,20 @@ def _cmd_link(args) -> tuple[int, dict]:
 
 def _cmd_tokenize(args) -> tuple[int, dict]:
     tokenizer = code_tokenize if args.mode == "code" else subtokenize
-    failures = 0
-
-    def rows(fin):
-        nonlocal failures
-        for lineno, line in enumerate(fin, start=1):
-            try:
-                tokens = tokenizer(line.rstrip("\n"))
-            except Exception as exc:
-                failures += 1
-                log.warning("line %d: %s", lineno, exc)
-                tokens = []
-            yield tokens
-
     # The input is opened first, so a missing one creates no output file.
     with open(args.in_path, "r", encoding="utf-8") as fin:
-        n = storage.write_jsonl(args.out, rows(fin))
-    code = 1 if failures > args.fail_threshold else 0
-    return code, {"lines": n, "failures": failures}
+        n = storage.write_jsonl(args.out, (tokenizer(line.rstrip("\n")) for line in fin))
+    return 0, {"lines": n}
 
 
 def _cmd_context(args) -> tuple[int, dict]:
+    spec = ContextSpec(kind=args.repr, token_limit=args.limit)
     examples = storage.load_dataset(args.dataset)
     discussions = storage.load_discussions(args.discussions)
     descriptions = storage.load_descriptions(args.desc) if args.desc else None
     traces = storage.load_traces(args.traces) if args.traces else None
-    spec = ContextSpec(kind=args.repr, token_limit=args.limit)
 
     rows, skipped = [], []
-    failures = 0
     for ex in examples:
         try:
             tokens = build_context(
@@ -298,23 +295,17 @@ def _cmd_context(args) -> tuple[int, dict]:
         except ContextSkip as exc:
             skipped.append({"example_id": ex.id, "reason": str(exc)})
             continue
-        except RecordError as exc:
-            failures += 1
-            log.warning("example %s: %s", ex.id, exc)
-            continue
         rows.append({"example_id": ex.id, "repr": spec.kind, "input_tokens": tokens})
     storage.write_jsonl(args.out, rows)
     if args.skipped:
         storage.write_jsonl(args.skipped, skipped)
-    print(
-        f"built {len(rows)} {spec.kind} contexts "
-        f"({len(skipped)} skipped, {failures} failed)"
-    )
-    code = 1 if failures > args.fail_threshold else 0
-    return code, {"built": len(rows), "skipped": len(skipped), "failures": failures}
+    print(f"built {len(rows)} {spec.kind} contexts ({len(skipped)} skipped)")
+    return 0, {"built": len(rows), "skipped": len(skipped)}
 
 
 def _cmd_segments(args) -> tuple[int, dict]:
+    # Segments are whole-discussion parts; the spec checks --limit as `context` does.
+    ContextSpec(kind="whole_discussion", token_limit=args.limit)
     examples = storage.load_dataset(args.dataset)
     discussions = storage.load_discussions(args.discussions)
     rows = (

@@ -76,6 +76,7 @@ def paired_bootstrap(
     the system with the higher (or equal) exact-match rate. Each resample
     draws sample_size examples with replacement and the p-value is the
     fraction of resamples whose rate gap exceeds twice the observed gap.
+    seed must be an int, so the same call always gives the same p.
     n_jobs is accepted for compatibility and has no effect: the resamples
     run on one thread.
     """
@@ -94,6 +95,8 @@ def paired_bootstrap(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if sample_size <= 0:
         raise ValueError(f"sample_size must be positive, got {sample_size}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an int, got {seed!r}")
 
     diff = a.astype(np.int64) - b.astype(np.int64)
     D = int(diff.sum())

@@ -347,18 +347,48 @@ def normalize_issue(raw: dict, project: str) -> Discussion:
 
 
 def _normalize_commit_records(commits):
-    """Accept either a sha->message/dict mapping or an iterable of dicts."""
-    out = []
+    """Parse one project's commits into (sha, message, timestamp) triples.
+
+    Two forms are accepted: a mapping of sha to a message string or to an
+    object, and a list of objects that each carry a ``sha``. ``message``
+    defaults to "" and an absent or empty ``timestamp`` to None; a given
+    timestamp comes back normalized. Raises RecordError naming the entry
+    (the sha, or the list index) and the field of the first bad commit.
+    """
     if isinstance(commits, dict):
-        items = commits.items()
-        for sha, val in items:
-            if isinstance(val, str):
-                out.append((sha, val, None))
-            else:
-                out.append((sha, val.get("message", ""), val.get("timestamp")))
+        entries = [
+            (sha, sha, {"message": val} if isinstance(val, str) else val)
+            for sha, val in commits.items()
+        ]
+        shape = "a message string or a JSON object"
+    elif isinstance(commits, (list, tuple)):
+        entries = [
+            (i, rec.get("sha") if isinstance(rec, dict) else None, rec)
+            for i, rec in enumerate(commits)
+        ]
+        shape = "a JSON object"
     else:
-        for rec in commits:
-            out.append((rec["sha"], rec.get("message", ""), rec.get("timestamp")))
+        raise RecordError(
+            "expected a list of commits or an object keyed by sha, "
+            f"got {type(commits).__name__}"
+        )
+    out = []
+    for key, sha, rec in entries:
+        if not isinstance(rec, dict):
+            raise RecordError(f"entry {key}: expected {shape}, got {rec!r}")
+        if sha is None:
+            raise RecordError(f"entry {key}: field 'sha': missing")
+        if not isinstance(sha, str) or not sha:
+            raise RecordError(f"entry {key}: field 'sha': expected a non-empty string, got {sha!r}")
+        message = rec.get("message", "")
+        if not isinstance(message, str):
+            raise RecordError(f"entry {key}: field 'message': expected a string, got {message!r}")
+        ts = rec.get("timestamp")
+        try:
+            ts = normalize_timestamp(ts) if ts else None
+        except RecordError as exc:
+            raise RecordError(f"entry {key}: field 'timestamp': {exc}") from None
+        out.append((sha, message, ts))
     return out
 
 
@@ -369,7 +399,8 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
     issue N of the same project; a full issues URL links to whatever
     project the URL names. Timeline evidence: referenced/cross-referenced/
     closed events on a mined issue that carry a commit_id. One event per
-    (project, issue, sha, source) survives deduplication.
+    (project, issue, sha, source) survives deduplication. A malformed
+    commit raises RecordError naming its entry and field.
     """
     issue_created = {}
     for raw in raw_issues:
@@ -406,7 +437,6 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
             log.warning("dropping malformed link %s#%s -> %s: %s", link_project, number, sha, exc)
 
     for sha, message, ts in _normalize_commit_records(commits):
-        ts = normalize_timestamp(ts) if ts else None
         for m in _ISSUE_REF.finditer(message):
             number = int(m.group(1))
             linked_at = ts or issue_created.get(number)

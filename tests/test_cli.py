@@ -10,7 +10,7 @@ import pytest
 import discforge
 from conftest import make_discussion, make_example, make_utterance
 from discforge import ingest, storage
-from discforge.cli import main
+from discforge.cli import build_parser, main
 from discforge.records import Candidate
 
 FULL_SHA = "ab12cd34e56f78901a2b3c4d5e6f78901a2b3c4d"
@@ -108,6 +108,29 @@ class TestTokenize:
         assert main(["tokenize", "--mode", "code", "--in", str(missing), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_undecodable_input_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"fine line\n\xff\n")
+        run_log = tmp_path / "runs.jsonl"
+        code = main([
+            "tokenize", "--mode", "subtoken", "--in", str(src), "--out", str(tmp_path / "out.jsonl"),
+            "--run-log", str(run_log),
+        ])
+        assert code == 2
+        assert "utf-8" in capsys.readouterr().err
+        assert jsonl(run_log)[0]["exit_code"] == 2
+
+    def test_run_log_counts_lines_only(self, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("a\nb\n", encoding="utf-8")
+        run_log = tmp_path / "runs.jsonl"
+        assert main([
+            "tokenize", "--mode", "code", "--in", str(src), "--out", str(tmp_path / "out.jsonl"),
+            "--run-log", str(run_log),
+        ]) == 0
+        (entry,) = jsonl(run_log)
+        assert entry["lines"] == 2 and "failures" not in entry
+
 
 class TestMine:
     def _write_archive(self, tmp_path):
@@ -197,6 +220,65 @@ class TestMine:
         err = capsys.readouterr().err
         assert str(cursor) in err and problem in err
         assert requests == []
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ('{"demo/proj": [{"sha": 1,', "invalid JSON"),
+            ('\xff{"demo/proj": []}', "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+            ('{"demo/proj": [{"message": "fixes #18"}]}', "project demo/proj: entry 0: field 'sha': missing"),
+            (
+                json.dumps({"demo/proj": {FULL_SHA: 5}}),
+                f"project demo/proj: entry {FULL_SHA}: expected a message string or a JSON object, got 5",
+            ),
+            (
+                json.dumps({"demo/proj": [{"sha": FULL_SHA, "message": ["fixes #18"]}]}),
+                "project demo/proj: entry 0: field 'message': expected a string",
+            ),
+            (
+                json.dumps({"demo/proj": [{"sha": FULL_SHA, "message": "fixes #18", "timestamp": "yesterday"}]}),
+                "project demo/proj: entry 0: field 'timestamp': unparseable timestamp",
+            ),
+            # a project the run does not mine is checked too
+            (json.dumps({"demo/proj": [], "other/proj": 5}), "project other/proj: expected a list of commits"),
+        ],
+        ids=["invalid-json", "not-utf8", "missing-sha", "mapping-value", "message-type", "bad-timestamp", "other-project"],
+    )
+    def test_bad_commits_exit_2_before_any_request_or_write(
+        self, tmp_path, capsys, monkeypatch, content, problem
+    ):
+        projects, commits = self._write_archive(tmp_path)
+        commits.write_bytes(content.encode("latin-1"))
+        requests = []
+        monkeypatch.setenv("MINE_TOKEN", "t")
+        monkeypatch.setattr(
+            ingest, "default_transport", lambda *call: requests.append(call) or (200, {}, [])
+        )
+        out = tmp_path / "o"
+        code = main([
+            "mine", "--projects", str(projects),
+            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+            "--token-env", "MINE_TOKEN", "--commits", str(commits), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --commits {commits}: ") and problem in err
+        assert "Traceback" not in err
+        assert requests == [] and not out.exists()
+
+    def test_commits_mapping_of_messages_links(self, tmp_path):
+        projects, commits = self._write_archive(tmp_path)
+        commits.write_text(json.dumps({"demo/proj": {FULL_SHA: "fixes #18"}}), encoding="utf-8")
+        out = tmp_path / "mined"
+        assert main([
+            "mine", "--projects", str(projects),
+            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+            "--archive", str(tmp_path / "arc"), "--commits", str(commits),
+            "--out", str(out), "--fail-threshold", "1",
+        ]) == 0
+        (link,) = jsonl(out / "links.jsonl")
+        # no commit timestamp: the link takes the issue's creation time
+        assert link["issue_number"] == 18 and link["linked_at"] == "2014-05-01T10:00:00Z"
 
     def _mine_online(self, tmp_path, *extra):
         projects, _ = self._write_archive(tmp_path)
@@ -329,6 +411,17 @@ class TestContext:
         skips = jsonl(skipped)
         assert skips[0]["example_id"] == "e2" and "oracle" in skips[0]["reason"]
 
+    def test_summary_line_and_run_log(self, corpus, tmp_path, capsys):
+        run_log = tmp_path / "runs.jsonl"
+        assert main([
+            "context", "--dataset", str(corpus["dataset"]),
+            "--repr", "oracle_msg", "--discussions", str(corpus["discussions"]),
+            "--out", str(tmp_path / "ctx.jsonl"), "--run-log", str(run_log),
+        ]) == 0
+        assert capsys.readouterr().out == "built 1 oracle_msg contexts (1 skipped)\n"
+        (entry,) = jsonl(run_log)
+        assert (entry["built"], entry["skipped"]) == (1, 1) and "failures" not in entry
+
     def test_limit_flag(self, corpus, tmp_path):
         out = tmp_path / "ctx.jsonl"
         main([
@@ -410,6 +503,20 @@ class TestSegments:
         assert len(rows) == 6
         assert {r["kind"] for r in rows} == {"title", "utterance"}
         assert rows[0]["input_tokens"][:2] == ["bug", "<s>"]
+
+
+    @pytest.mark.parametrize("command", ["segments", "context"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_1_exits_2_before_any_input_or_output(self, tmp_path, capsys, command, limit):
+        out = tmp_path / "out.jsonl"
+        argv = [command, "--dataset", str(tmp_path / "absent.jsonl"),
+                "--discussions", str(tmp_path / "absent-d.jsonl"), "--limit", limit, "--out", str(out)]
+        if command == "context":
+            argv += ["--repr", "title"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: field 'token_limit': token_limit must be >= 1, got {limit}\n"
+        assert not out.exists()
 
 
 class TestEval:
@@ -569,6 +676,54 @@ class TestConfigAndRunLog:
         assert entries[0]["command"] == "eval"
         assert entries[0]["exit_code"] == 0
         assert entries[0]["exact_match_rate"] == 50.0
+
+    @pytest.mark.parametrize("flag", ["--conf", "--confi"])
+    def test_abbreviated_config_flag_exits_2(self, corpus, tmp_path, capsys, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"limit": 5}), encoding="utf-8")
+        out = tmp_path / "ctx.jsonl"
+        code = main([
+            "context", flag, str(cfg), "--dataset", str(corpus["dataset"]),
+            "--repr", "whole_discussion", "--discussions", str(corpus["discussions"]),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "spell it out" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fail_threshold_belongs_to_mine_only(self, corpus, tmp_path, capsys):
+        d, ds, cands = str(corpus["dataset"]), str(corpus["discussions"]), tmp_path / "cands"
+        cands.mkdir()
+        (cands / "a.jsonl").write_bytes(corpus["cand_a"].read_bytes())
+        text = tmp_path / "in.txt"
+        text.write_text("x\n", encoding="utf-8")
+        argvs = {
+            "link": ["--examples", d, "--links", str(tmp_path / "links.jsonl"), "--discussions", ds,
+                     "--out", str(tmp_path / "l.jsonl")],
+            "tokenize": ["--mode", "code", "--in", str(text), "--out", str(tmp_path / "t.jsonl")],
+            "context": ["--dataset", d, "--repr", "title", "--discussions", ds, "--out", str(tmp_path / "c.jsonl")],
+            "segments": ["--dataset", d, "--discussions", ds, "--out", str(tmp_path / "s.jsonl")],
+            "eval": ["--refs", d, "--candidates", str(corpus["cand_a"])],
+            "compare": ["--refs", d, "--a", str(corpus["cand_b"]), "--b", str(corpus["cand_a"]),
+                        "--samples", "10", "--size", "10"],
+            "oracle-eval": ["--refs", d, "--candidates", str(cands)],
+            "stats": ["--dataset", d, "--discussions", ds],
+        }
+        (tmp_path / "links.jsonl").write_text("", encoding="utf-8")
+        _, sub_by_name = build_parser()
+        assert set(argvs) == set(sub_by_name) - {"mine"}
+        assert "--fail-threshold" in sub_by_name["mine"].format_help()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fail_threshold": 1}), encoding="utf-8")
+        for command, argv in argvs.items():
+            assert "--fail-threshold" not in sub_by_name[command].format_help()
+            assert main([command, *argv]) == 0
+            with pytest.raises(SystemExit) as exc:
+                main([command, *argv, "--fail-threshold", "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --fail-threshold" in capsys.readouterr().err
+            assert main([command, *argv, "--config", str(cfg)]) == 2
+            assert "unknown key 'fail_threshold'" in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main([

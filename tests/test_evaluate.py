@@ -137,6 +137,12 @@ class TestPairedBootstrap:
         with pytest.raises(ValueError, match="empty"):
             paired_bootstrap([], [], n_samples=10)
 
+    @pytest.mark.parametrize("seed", [None, True, False, 2.0, "0", np.int64(3)])
+    def test_seed_must_be_an_int(self, seed):
+        # None would draw fresh OS entropy: a new p on every call.
+        with pytest.raises(ValueError, match="seed"):
+            paired_bootstrap([True, False], [False, False], n_samples=10, seed=seed)
+
     def test_report_fields(self):
         v = [True, False, True, False]
         r = paired_bootstrap(v, v, n_samples=50, sample_size=20, seed=4)

@@ -63,7 +63,6 @@ def build_parser():
     src.add_argument("--archive", help="read issues from this archive directory")
     src.add_argument("--token-env", help="name of the environment variable holding the API token")
     sp.add_argument("--commits", help="JSON file mapping project -> commit records")
-    sp.add_argument("--cursor", help="checkpoint file for resuming online mining")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument(
         "--fail-threshold",
@@ -160,7 +159,7 @@ def _apply_config(parser, sub_by_name, argv):
         with open(config_path, "r", encoding="utf-8") as f:
             try:
                 config = json.load(f)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise ValueError(f"--config {config_path}: invalid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ValueError(f"--config {config_path}: expected a JSON object")
@@ -218,7 +217,10 @@ def _write_run_log(args, exit_code, details):
 
 def _cmd_mine(args) -> tuple[int, dict]:
     with open(args.projects, "r", encoding="utf-8") as f:
-        projects = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
+        try:
+            projects = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"--projects {args.projects}: {exc}") from None
     if not projects:
         raise ValueError(f"--projects {args.projects}: no projects listed")
     commits_by_project = None
@@ -245,7 +247,6 @@ def _cmd_mine(args) -> tuple[int, dict]:
         archive_root=args.archive,
         token_env=args.token_env,
         commits_by_project=commits_by_project,
-        cursor_path=args.cursor,
     )
     print(
         f"mined {report.issues_in_window} issues from {len(projects)} projects "
@@ -273,9 +274,13 @@ def _cmd_link(args) -> tuple[int, dict]:
 
 def _cmd_tokenize(args) -> tuple[int, dict]:
     tokenizer = code_tokenize if args.mode == "code" else subtokenize
-    # The input is opened first, so a missing one creates no output file.
+    # The input is read first, so a missing or undecodable one creates no output file.
     with open(args.in_path, "r", encoding="utf-8") as fin:
-        n = storage.write_jsonl(args.out, (tokenizer(line.rstrip("\n")) for line in fin))
+        try:
+            lines = fin.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"--in {args.in_path}: {exc}") from None
+    n = storage.write_jsonl(args.out, (tokenizer(line.rstrip("\n")) for line in lines))
     return 0, {"lines": n}
 
 

@@ -6,12 +6,17 @@ paging a GitHub-style issues API. Both yield raw issue dicts that
 normalize_issue turns into Discussion records; commit links come from
 commit messages and issue timeline events.
 
+No state carries over between runs: each run fetches its whole window
+again, and mine_projects replaces each output file whole, so a rerun
+writes the same bytes and an interrupted run leaves earlier files intact.
+
 The transport is injectable for tests: any callable
 ``(url, params, headers) -> (status, headers, payload)``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -94,35 +99,8 @@ class RawIssueArchive:
             with open(path, "r", encoding="utf-8") as f:
                 try:
                     yield json.load(f)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                     raise RecordError(f"invalid JSON in {path}: {exc}") from None
-
-
-def _load_cursor(path) -> dict:
-    if not (path and os.path.exists(path)):
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            cursor = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"cursor {path}: invalid JSON: {exc}") from None
-    if not isinstance(cursor, dict):
-        raise ValueError(f"cursor {path}: expected a JSON object")
-    for key, entry in cursor.items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"cursor {path}: entry {key}: expected a JSON object")
-        page = entry.get("next_page", 1)
-        if type(page) is not int or page < 1:
-            raise ValueError(
-                f"cursor {path}: entry {key}: next_page must be a positive integer, got {page!r}"
-            )
-    return cursor
-
-
-def _save_cursor(path, cursor) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(cursor, f, ensure_ascii=False, indent=2)
 
 
 def _auth_headers(token_env) -> dict:
@@ -184,19 +162,20 @@ def _request(transport, url, params, headers, *, sleep, max_retries=5):
         attempt += 1
 
 
-def _pages(transport, url, params, headers, *, sleep, page=1):
-    """Yield ``(page, items)`` for each non-empty page of a paged endpoint.
+def _pages(transport, url, params, headers, *, sleep):
+    """Yield the items of each non-empty page of a paged endpoint.
 
     The list ends at an empty page or at one shorter than PER_PAGE: the
     API fills every page but the last.
     """
+    page = 1
     while True:
         _, items = _request(
             transport, url, {**params, "per_page": PER_PAGE, "page": page}, headers, sleep=sleep
         )
         if not items:
             return
-        yield page, items
+        yield items
         if len(items) < PER_PAGE:
             return
         page += 1
@@ -210,14 +189,13 @@ def fetch_issues(
     archive: RawIssueArchive | None = None,
     token_env: str | None = None,
     transport=None,
-    cursor_path=None,
     report: MineReport | None = None,
     sleep=time.sleep,
 ):
     """Yield raw issue dicts for one project, created in [since, until).
 
-    Archive mode walks the dump; online mode pages the issues endpoint
-    (oldest first) and resumes from a cursor file when one is given.
+    Archive mode walks the dump; online mode pages the issues endpoint,
+    oldest first, always from page 1: no state carries over between calls.
     Pull requests masquerading as issues are excluded. The window is
     half-open: an issue created exactly at `until` is out.
     """
@@ -250,17 +228,9 @@ def fetch_issues(
 
     transport = transport or default_transport
     headers = _auth_headers(token_env)
-    cursor_key = f"{project}|{since}|{until}"
-    cursor = _load_cursor(cursor_path)
-    state = cursor.get(cursor_key, {})
-    if state.get("done"):
-        log.info("cursor says %s already mined for this window", cursor_key)
-        return
     url = f"{API_ROOT}/repos/{project}/issues"
     params = {"state": "all", "sort": "created", "direction": "asc", "since": since}
-    for page, payload in _pages(
-        transport, url, params, headers, sleep=sleep, page=state.get("next_page", 1)
-    ):
+    for payload in _pages(transport, url, params, headers, sleep=sleep):
         past_window = False
         for raw in payload:
             try:
@@ -283,14 +253,10 @@ def fetch_issues(
                     if comments_url
                     else ()
                 )
-                raw = dict(raw, comments=[c for _, items in comment_pages for c in items])
+                raw = dict(raw, comments=[c for items in comment_pages for c in items])
             yield raw
-        cursor[cursor_key] = {"next_page": page + 1}
-        _save_cursor(cursor_path, cursor)
         if past_window:
             break
-    cursor[cursor_key] = {"done": True}
-    _save_cursor(cursor_path, cursor)
 
 
 def _author_of(raw) -> str:
@@ -478,6 +444,22 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
     return unique
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temp path beside `path`; move it onto `path` once the body completes.
+
+    The temp name ends in ".tmp", so a loader that reads ``*.jsonl`` or
+    ``*.json`` never picks up a leftover one.
+    """
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def mine_projects(
     projects,
     since,
@@ -494,7 +476,11 @@ def mine_projects(
     """Mine every project, writing discussions, links, and a report.
 
     Output layout under out_dir: ``discussions/<owner>__<name>.jsonl``,
-    ``links.jsonl``, ``mine-report.json``.
+    ``links.jsonl``, ``mine-report.json``. Every run mines the whole
+    window again, so the same inputs give the same bytes. Each file is
+    written beside its target and then moved onto it, so a run that fails
+    or is killed leaves every earlier file whole. ``cursor_path`` is
+    accepted and ignored; it remains only for callers that still pass it.
     """
     report = MineReport()
     archive = RawIssueArchive(archive_root) if archive_root else None
@@ -511,7 +497,6 @@ def mine_projects(
                 archive=archive,
                 token_env=token_env,
                 transport=transport,
-                cursor_path=cursor_path,
                 report=report,
                 sleep=sleep,
             )
@@ -522,15 +507,16 @@ def mine_projects(
                 discussions.append(normalize_issue(raw, project))
             except RecordError as exc:
                 report.record_skip(project, raw.get("number"), exc)
-        save_discussions(
-            os.path.join(disc_dir, f"{project_dirname(project)}.jsonl"), discussions
-        )
+        with _replacing(os.path.join(disc_dir, f"{project_dirname(project)}.jsonl")) as tmp:
+            save_discussions(tmp, discussions)
         commits = (commits_by_project or {}).get(project, [])
         links = extract_commit_links(project, commits, raws)
         report.links_found += len(links)
         all_links.extend(links)
 
-    save_links(os.path.join(out_dir, "links.jsonl"), all_links)
-    with open(os.path.join(out_dir, "mine-report.json"), "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, ensure_ascii=False, indent=2)
+    with _replacing(os.path.join(out_dir, "links.jsonl")) as tmp:
+        save_links(tmp, all_links)
+    with _replacing(os.path.join(out_dir, "mine-report.json")) as tmp:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(report.to_dict(), f, ensure_ascii=False, indent=2)
     return report

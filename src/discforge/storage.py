@@ -26,13 +26,16 @@ from .records import (
 def _iter_jsonl(path):
     """Yield (line_number, parsed_object) for each non-blank line."""
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"invalid JSON: {exc}", line=lineno) from None
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    yield lineno, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordError(f"invalid JSON: {exc}", line=lineno) from None
+        except UnicodeDecodeError as exc:
+            raise RecordError(f"{path}: {exc}") from None
 
 
 def write_jsonl(path, rows) -> int:
@@ -107,7 +110,7 @@ def load_attention_trace(path) -> AttentionTrace:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return AttentionTrace.from_dict(json.load(f))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise RecordError(f"invalid JSON in {path}: {exc}") from None
     except RecordError as exc:
         raise RecordError(f"trace {path}: {exc.message}", field=exc.field) from None

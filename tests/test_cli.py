@@ -117,8 +117,10 @@ class TestTokenize:
             "--run-log", str(run_log),
         ])
         assert code == 2
-        assert "utf-8" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--in {src}: 'utf-8' codec can't decode byte 0xff" in err
         assert jsonl(run_log)[0]["exit_code"] == 2
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_run_log_counts_lines_only(self, tmp_path):
         src = tmp_path / "in.txt"
@@ -186,40 +188,17 @@ class TestMine:
             ])
         assert exc.value.code == 2
 
-
-    @pytest.mark.parametrize(
-        "content, problem",
-        [
-            ("[]", "expected a JSON object"),
-            ("{not json", "invalid JSON"),
-            ('{"o/p|a|b": []}', "entry o/p|a|b: expected a JSON object"),
-            ('{"o/p|a|b": "done"}', "entry o/p|a|b: expected a JSON object"),
-            ('{"o/p|a|b": {"next_page": "x"}}', "entry o/p|a|b: next_page must be a positive integer"),
-            ('{"o/p|a|b": {"next_page": 0}}', "entry o/p|a|b: next_page must be a positive integer"),
-            ('{"o/p|a|b": {"next_page": 2.0}}', "entry o/p|a|b: next_page must be a positive integer"),
-            ('{"o/p|a|b": {"next_page": true}}', "entry o/p|a|b: next_page must be a positive integer"),
-        ],
-    )
-    def test_malformed_cursor_exits_2_before_any_request(
-        self, tmp_path, capsys, monkeypatch, content, problem
-    ):
+    def test_cursor_flag_is_a_usage_error(self, tmp_path, capsys):
         projects, _ = self._write_archive(tmp_path)
-        cursor = tmp_path / "cursor.json"
-        cursor.write_text(content, encoding="utf-8")
-        requests = []
-        monkeypatch.setenv("MINE_TOKEN", "t")
-        monkeypatch.setattr(
-            ingest, "default_transport", lambda *call: requests.append(call) or (200, {}, [])
-        )
-        code = main([
-            "mine", "--projects", str(projects),
-            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
-            "--token-env", "MINE_TOKEN", "--cursor", str(cursor), "--out", str(tmp_path / "o"),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert str(cursor) in err and problem in err
-        assert requests == []
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "mine", "--projects", str(projects),
+                "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+                "--archive", str(tmp_path / "arc"), "--cursor", "x", "--out", str(tmp_path / "o"),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cursor x" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "content, problem",
@@ -662,6 +641,16 @@ class TestConfigAndRunLog:
         ])
         assert code == 2
         assert "no_such_flag" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"cursor": "state.json"}), encoding="utf-8")
+        out = tmp_path / "mined"
+        code = main([
+            "mine", "--config", str(cfg), "--projects", str(tmp_path / "projects.txt"),
+            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+            "--archive", str(tmp_path / "arc"), "--out", str(out),
+        ])
+        assert code == 2
+        assert "unknown key 'cursor'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_log_appends_machine_readable_lines(self, corpus, tmp_path):
         run_log = tmp_path / "runs.jsonl"
@@ -724,6 +713,43 @@ class TestConfigAndRunLog:
             assert "unrecognized arguments: --fail-threshold" in capsys.readouterr().err
             assert main([command, *argv, "--config", str(cfg)]) == 2
             assert "unknown key 'fail_threshold'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--refs", "--candidates", "--discussions", "--desc", "--traces", "--projects", "--archive", "--config"]
+    )
+    def test_undecodable_input_exits_2_naming_the_file(self, corpus, tmp_path, capsys, flag):
+        d, ds, cand = str(corpus["dataset"]), str(corpus["discussions"]), str(corpus["cand_a"])
+        bad_dir = tmp_path / "bad"
+        bad = bad_dir / "demo__proj" / "1.json" if flag == "--archive" else bad_dir / "x.jsonl"
+        bad.parent.mkdir(parents=True)
+        # The bad byte follows valid lines, where the input has lines.
+        valid = {
+            "--refs": corpus["dataset"].read_bytes(),
+            "--candidates": corpus["cand_a"].read_bytes(),
+            "--discussions": corpus["discussions"].read_bytes(),
+            "--projects": b"demo/proj\n",
+        }
+        bad.write_bytes(valid.get(flag, b"") + b"\xff\n")
+        projects = tmp_path / "projects.txt"
+        projects.write_text("demo/proj\n", encoding="utf-8")
+        mine = ["mine", "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+                "--out", str(tmp_path / "o")]
+        argv = {
+            "--refs": ["eval", "--refs", str(bad), "--candidates", cand],
+            "--candidates": ["eval", "--refs", d, "--candidates", str(bad)],
+            "--discussions": ["segments", "--dataset", d, "--discussions", str(bad_dir),
+                              "--out", str(tmp_path / "s.jsonl")],
+            "--desc": ["stats", "--dataset", d, "--discussions", ds, "--desc", str(bad)],
+            "--traces": ["context", "--dataset", d, "--repr", "attended_segments", "--discussions", ds,
+                         "--traces", str(bad), "--out", str(tmp_path / "c.jsonl")],
+            "--projects": [*mine, "--projects", str(bad), "--archive", str(tmp_path)],
+            "--archive": [*mine, "--projects", str(projects), "--archive", str(bad_dir)],
+            "--config": ["eval", "--config", str(bad), "--refs", d, "--candidates", cand],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main([

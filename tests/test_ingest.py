@@ -2,6 +2,7 @@
 
 import json
 import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -15,7 +16,7 @@ from discforge.ingest import (
     normalize_issue,
     project_dirname,
 )
-from discforge.records import RecordError
+from discforge.records import CommitLinkEvent, Discussion, RecordError
 
 
 def raw_issue(number, created="2014-05-01T10:00:00Z", title=None, body="the body", comments=(), **extra):
@@ -285,43 +286,6 @@ class TestFetchIssuesOnline:
                 )
             )
 
-    def test_cursor_resume_skips_finished_pages(self, tmp_path):
-        cursor = tmp_path / "cursor.json"
-        first = FakeTransport([
-            full_page(1),
-            (500, {}, None), (500, {}, None), (500, {}, None),
-            (500, {}, None), (500, {}, None), (500, {}, None),
-        ])
-        with pytest.raises(RuntimeError):
-            list(
-                fetch_issues(
-                    "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
-                    transport=first, cursor_path=str(cursor), sleep=lambda s: None,
-                )
-            )
-        # page 1 done; a rerun resumes at page 2, whose short page is the last
-        second = FakeTransport([full_page(101), [raw_issue(201)]])
-        got = list(
-            fetch_issues(
-                "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
-                transport=second, cursor_path=str(cursor), sleep=lambda s: None,
-            )
-        )
-        assert [i["number"] for i in got] == list(range(101, 202))
-        assert [c["params"]["page"] for c in second.calls] == [2, 3]
-        assert json.loads(cursor.read_text()) == {
-            "p/q|2014-05-01T00:00:00Z|2014-06-01T00:00:00Z": {"done": True}
-        }
-        # the finished window is not re-mined at all
-        third = FakeTransport([[raw_issue(9)]])
-        assert list(
-            fetch_issues(
-                "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
-                transport=third, cursor_path=str(cursor), sleep=lambda s: None,
-            )
-        ) == []
-        assert third.calls == []
-
     def test_token_env_indirection(self, monkeypatch):
         monkeypatch.setenv("MY_TOKEN", "sekret")
         transport = FakeTransport([[], []])
@@ -481,3 +445,132 @@ class TestMineProjects:
         links = (out / "links.jsonl").read_text().splitlines()
         assert len(links) == 1
         assert json.loads((out / "mine-report.json").read_text())["links_found"] == 1
+
+
+MAY_1 = datetime(2014, 5, 1, 10, tzinfo=timezone.utc)
+
+
+class SeededTracker:
+    """A paged issues API over two seeded random projects.
+
+    Issues come oldest first, some before or after the mining window,
+    with comment counts, comment pages, timeline links and an occasional
+    title-less issue. From request `fail_at` on (1-based) every request
+    raises: the tracker is down for good.
+    """
+
+    PROJECTS = ("o/a", "o/b")
+    SINCE, UNTIL = "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z"
+
+    def __init__(self, seed, fail_at=None):
+        rng = random.Random(seed)
+        self.fail_at = fail_at
+        self.requests = 0
+        self.items = {}
+        self.commits = {}
+        for project in self.PROJECTS:
+            url = f"{ingest.API_ROOT}/repos/{project}/issues"
+            days = sorted(rng.randrange(-5, 36) for _ in range(rng.randint(0, 10)))
+            issues, commits = [], []
+            for number, day in enumerate(days, start=1):
+                created = (MAY_1 + timedelta(days=day)).strftime("%Y-%m-%dT%H:%M:%SZ")
+                issue = raw_issue(number, created=created, title="" if rng.random() < 0.1 else None,
+                                  comments_url=f"{url}/{number}/comments")
+                comments = [
+                    {"body": f"comment {c}", "user": {"login": "bob"}, "created_at": created}
+                    for c in range(rng.choice((0, 0, 1, 2, 4, 7)))
+                ]
+                issue["comments"] = len(comments)
+                self.items[issue["comments_url"]] = comments
+                sha = f"{seed:08x}{number:08x}".ljust(40, "0")
+                if rng.random() < 0.3:
+                    issue["timeline"] = [{"event": "closed", "commit_id": sha, "created_at": created}]
+                if rng.random() < 0.5:
+                    commits.append({"sha": sha[::-1], "message": f"fixes #{number}"})
+                issues.append(issue)
+            self.items[url] = issues
+            self.commits[project] = commits
+
+    def __call__(self, url, params, headers):
+        self.requests += 1
+        if self.fail_at is not None and self.requests >= self.fail_at:
+            raise ConnectionError("tracker down")
+        first = (params["page"] - 1) * params["per_page"]
+        return 200, {}, self.items.get(url, [])[first:first + params["per_page"]]
+
+    def mine(self, out):
+        return mine_projects(
+            self.PROJECTS, self.SINCE, self.UNTIL, str(out),
+            commits_by_project=self.commits, transport=self, sleep=lambda s: None,
+        )
+
+
+def read_tree(top):
+    """Every file under `top`, as bytes keyed by relative path."""
+    return {str(p.relative_to(top)): p.read_bytes() for p in sorted(top.rglob("*")) if p.is_file()}
+
+
+class TestInterruptedMining:
+    @pytest.fixture(autouse=True)
+    def small_pages(self, monkeypatch):
+        # three items a page, so a few issues span several pages
+        monkeypatch.setattr(ingest, "PER_PAGE", 3)
+
+    def test_tracker_failing_at_a_random_request_loses_nothing(self, tmp_path):
+        for seed in range(60):
+            complete = SeededTracker(seed)
+            complete.mine(tmp_path / f"{seed}-clean")
+            want = read_tree(tmp_path / f"{seed}-clean")
+            fail_at = random.Random(f"fail/{seed}").randint(1, complete.requests)
+
+            earlier, fresh = tmp_path / f"{seed}-earlier", tmp_path / f"{seed}-fresh"
+            SeededTracker(seed).mine(earlier)
+            for out in (earlier, fresh):
+                with pytest.raises(OSError, match="tracker down"):
+                    SeededTracker(seed, fail_at).mine(out)
+            # The earlier run's files are untouched, and no temp file is left.
+            assert read_tree(earlier) == want, seed
+            # Into an empty directory: only whole files, each as a complete run writes it.
+            partial = read_tree(fresh)
+            assert {name: want.get(name) for name in partial} == partial, seed
+            for out in (earlier, fresh):
+                SeededTracker(seed).mine(out)
+                assert read_tree(out) == want, seed
+
+    def test_rerun_after_a_complete_run_changes_no_byte(self, tmp_path):
+        for seed in range(10):
+            first = SeededTracker(seed)
+            first.mine(tmp_path / str(seed))
+            want = read_tree(tmp_path / str(seed))
+            rerun = SeededTracker(seed)
+            rerun.mine(tmp_path / str(seed))
+            assert read_tree(tmp_path / str(seed)) == want, seed
+            # the whole window is mined again, every request of it
+            assert rerun.requests == first.requests, seed
+
+    @pytest.mark.parametrize("record", [Discussion, CommitLinkEvent])
+    def test_write_raising_halfway_leaves_the_previous_file(self, tmp_path, monkeypatch, record):
+        issues = [raw_issue(n, timeline=[{"event": "closed", "commit_id": SHA1}]) for n in (1, 2, 3)]
+        write_archive(tmp_path / "arc", "o/a", issues)
+        out = tmp_path / "out"
+
+        def mine():
+            mine_projects(["o/a"], SeededTracker.SINCE, SeededTracker.UNTIL, str(out),
+                          archive_root=str(tmp_path / "arc"))
+
+        mine()
+        want = read_tree(out)
+        written = []
+        real = record.to_dict
+
+        def to_dict(self):
+            if written:
+                raise OSError("disk full")
+            written.append(self)
+            return real(self)
+
+        monkeypatch.setattr(record, "to_dict", to_dict)
+        with pytest.raises(OSError, match="disk full"):
+            mine()
+        assert written, "the write never started"
+        assert read_tree(out) == want

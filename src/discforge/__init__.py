@@ -20,7 +20,7 @@ from .evaluate import (
     exact_match,
     paired_bootstrap,
 )
-from .linking import attach_discussions, order_discussions, temporal_filter
+from .linking import attach_discussions, link_examples, order_discussions, temporal_filter
 from .records import (
     CONTEXT_KINDS,
     SEPARATOR,
@@ -38,6 +38,7 @@ from .records import (
     normalize_timestamp,
 )
 from .storage import (
+    iter_dataset,
     load_candidates,
     load_dataset,
     load_descriptions,
@@ -86,7 +87,9 @@ __all__ = [
     "enumerate_segment_contexts",
     "exact_match",
     "extract_attended_segments",
+    "iter_dataset",
     "layout_whole_discussion",
+    "link_examples",
     "load_candidates",
     "load_dataset",
     "load_descriptions",

@@ -11,6 +11,7 @@ line to --run-log.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -30,7 +31,7 @@ from .evaluate import (
     dataset_stats,
     paired_bootstrap,
 )
-from .linking import attach_discussions
+from .linking import link_examples
 from .records import CONTEXT_KINDS, ContextSpec, RecordError, record_digest
 from .textproc import code_tokenize, subtokenize
 
@@ -232,22 +233,18 @@ def _cmd_mine(args) -> tuple[int, dict]:
                 raise ValueError(f"--commits {args.commits}: invalid JSON: {exc}") from None
         if not isinstance(commits_by_project, dict):
             raise ValueError(f"--commits {args.commits}: expected a JSON object keyed by project")
-        # Check every project's commits before the first request or write.
-        for project, commits in commits_by_project.items():
-            try:
-                ingest._normalize_commit_records(commits)
-            except RecordError as exc:
-                raise ValueError(f"--commits {args.commits}: project {project}: {exc}") from None
-    os.makedirs(args.out, exist_ok=True)
-    report = ingest.mine_projects(
-        projects,
-        args.since,
-        args.until,
-        args.out,
-        archive_root=args.archive,
-        token_env=args.token_env,
-        commits_by_project=commits_by_project,
-    )
+    try:
+        report = ingest.mine_projects(
+            projects,
+            args.since,
+            args.until,
+            args.out,
+            archive_root=args.archive,
+            token_env=args.token_env,
+            commits_by_project=commits_by_project,
+        )
+    except ingest.CommitsError as exc:
+        raise ValueError(f"--commits {args.commits}: {exc}") from None
     print(
         f"mined {report.issues_in_window} issues from {len(projects)} projects "
         f"({report.issues_skipped} skipped, {report.links_found} links)"
@@ -256,18 +253,42 @@ def _cmd_mine(args) -> tuple[int, dict]:
     return code, {"report": report.to_dict(), "out": args.out}
 
 
+def _distinct_outputs(args, *flags):
+    """Reject two output flags that name one file: their writes would collide."""
+    seen = {}
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"--{seen[real]} and --{flag} name the same file: {path}")
+        seen[real] = flag
+
+
+def _writer(path):
+    """storage.jsonl_writer for an optional output; with no path, rows are discarded."""
+    return storage.jsonl_writer(path) if path else contextlib.nullcontext(lambda row: None)
+
+
 def _cmd_link(args) -> tuple[int, dict]:
-    examples = storage.load_dataset(args.examples)
+    _distinct_outputs(args, "out", "dropped")
     links = storage.load_links(args.links)
     discussions = storage.load_discussions(args.discussions)
-    linked, dropped = attach_discussions(examples, links, discussions)
-    storage.save_dataset(args.out, linked)
-    if args.dropped:
-        storage.save_dataset(args.dropped, dropped)
-    print(f"linked {len(linked)} examples; {len(dropped)} had no discussion")
+    n_linked = n_dropped = 0
+    with storage.jsonl_writer(args.out) as write_linked, _writer(args.dropped) as write_dropped:
+        examples = storage.iter_dataset(args.examples)
+        for ex, linked in link_examples(examples, links, discussions):
+            if linked is None:
+                write_dropped(ex.to_dict())
+                n_dropped += 1
+            else:
+                write_linked(linked.to_dict())
+                n_linked += 1
+    print(f"linked {n_linked} examples; {n_dropped} had no discussion")
     return 0, {
-        "linked": len(linked),
-        "dropped": len(dropped),
+        "linked": n_linked,
+        "dropped": n_dropped,
         "inputs": _digests([args.examples, args.links]),
     }
 
@@ -286,47 +307,47 @@ def _cmd_tokenize(args) -> tuple[int, dict]:
 
 def _cmd_context(args) -> tuple[int, dict]:
     spec = ContextSpec(kind=args.repr, token_limit=args.limit)
-    examples = storage.load_dataset(args.dataset)
+    _distinct_outputs(args, "out", "skipped")
     discussions = storage.load_discussions(args.discussions)
     descriptions = storage.load_descriptions(args.desc) if args.desc else None
     traces = storage.load_traces(args.traces) if args.traces else None
 
-    rows, skipped = [], []
-    for ex in examples:
-        try:
-            tokens = build_context(
-                ex, spec, discussions, descriptions=descriptions, traces=traces
-            )
-        except ContextSkip as exc:
-            skipped.append({"example_id": ex.id, "reason": str(exc)})
-            continue
-        rows.append({"example_id": ex.id, "repr": spec.kind, "input_tokens": tokens})
-    storage.write_jsonl(args.out, rows)
-    if args.skipped:
-        storage.write_jsonl(args.skipped, skipped)
-    print(f"built {len(rows)} {spec.kind} contexts ({len(skipped)} skipped)")
-    return 0, {"built": len(rows), "skipped": len(skipped)}
+    n_built = n_skipped = 0
+    with storage.jsonl_writer(args.out) as write_row, _writer(args.skipped) as write_skip:
+        for ex in storage.iter_dataset(args.dataset):
+            try:
+                tokens = build_context(
+                    ex, spec, discussions, descriptions=descriptions, traces=traces
+                )
+            except ContextSkip as exc:
+                write_skip({"example_id": ex.id, "reason": str(exc)})
+                n_skipped += 1
+                continue
+            write_row({"example_id": ex.id, "repr": spec.kind, "input_tokens": tokens})
+            n_built += 1
+    print(f"built {n_built} {spec.kind} contexts ({n_skipped} skipped)")
+    return 0, {"built": n_built, "skipped": n_skipped}
 
 
 def _cmd_segments(args) -> tuple[int, dict]:
     # Segments are whole-discussion parts; the spec checks --limit as `context` does.
     ContextSpec(kind="whole_discussion", token_limit=args.limit)
-    examples = storage.load_dataset(args.dataset)
     discussions = storage.load_discussions(args.discussions)
-    rows = (
-        {
-            "example_id": ex.id,
-            "discussion_id": ref.discussion_id,
-            "kind": ref.kind,
-            "utterance_index": ref.utterance_index,
-            "input_tokens": tokens,
-        }
-        for ex in examples
-        for ref, tokens in enumerate_segment_contexts(ex, discussions, token_limit=args.limit)
-    )
-    n = storage.write_jsonl(args.out, rows)
-    print(f"rendered {n} segment contexts for {len(examples)} examples")
-    return 0, {"segments": n}
+    n_examples = n_rows = 0
+    with storage.jsonl_writer(args.out) as write_row:
+        for ex in storage.iter_dataset(args.dataset):
+            n_examples += 1
+            for ref, tokens in enumerate_segment_contexts(ex, discussions, token_limit=args.limit):
+                write_row({
+                    "example_id": ex.id,
+                    "discussion_id": ref.discussion_id,
+                    "kind": ref.kind,
+                    "utterance_index": ref.utterance_index,
+                    "input_tokens": tokens,
+                })
+                n_rows += 1
+    print(f"rendered {n_rows} segment contexts for {n_examples} examples")
+    return 0, {"segments": n_rows}
 
 
 def _cmd_eval(args) -> tuple[int, dict]:

@@ -16,7 +16,6 @@ The transport is injectable for tests: any callable
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import logging
@@ -31,7 +30,7 @@ from .records import (
     Utterance,
     normalize_timestamp,
 )
-from .storage import save_discussions, save_links
+from .storage import replacing, save_discussions, save_links
 
 log = logging.getLogger(__name__)
 
@@ -312,7 +311,11 @@ def normalize_issue(raw: dict, project: str) -> Discussion:
     )
 
 
-def _normalize_commit_records(commits):
+class CommitsError(RecordError):
+    """A project's commit records do not parse; mine_projects raises it before any request."""
+
+
+def normalize_commits(commits):
     """Parse one project's commits into (sha, message, timestamp) triples.
 
     Two forms are accepted: a mapping of sha to a message string or to an
@@ -361,12 +364,13 @@ def _normalize_commit_records(commits):
 def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEvent]:
     """Find (issue, commit) associations for one project.
 
-    Message references: "#N" in a commit message links that commit to
-    issue N of the same project; a full issues URL links to whatever
-    project the URL names. Timeline evidence: referenced/cross-referenced/
-    closed events on a mined issue that carry a commit_id. One event per
-    (project, issue, sha, source) survives deduplication. A malformed
-    commit raises RecordError naming its entry and field.
+    `commits` holds the project's (sha, message, timestamp) triples as
+    normalize_commits returns them. Message references: "#N" in a commit
+    message links that commit to issue N of the same project; a full
+    issues URL links to whatever project the URL names. Timeline evidence:
+    referenced/cross-referenced/closed events on a mined issue that carry
+    a commit_id. One event per (project, issue, sha, source) survives
+    deduplication.
     """
     issue_created = {}
     for raw in raw_issues:
@@ -402,7 +406,7 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
         except RecordError as exc:
             log.warning("dropping malformed link %s#%s -> %s: %s", link_project, number, sha, exc)
 
-    for sha, message, ts in _normalize_commit_records(commits):
+    for sha, message, ts in commits:
         for m in _ISSUE_REF.finditer(message):
             number = int(m.group(1))
             linked_at = ts or issue_created.get(number)
@@ -444,22 +448,6 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
     return unique
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Yield a temp path beside `path`; move it onto `path` once the body completes.
-
-    The temp name ends in ".tmp", so a loader that reads ``*.jsonl`` or
-    ``*.json`` never picks up a leftover one.
-    """
-    tmp = path + ".tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def mine_projects(
     projects,
     since,
@@ -479,9 +467,17 @@ def mine_projects(
     ``links.jsonl``, ``mine-report.json``. Every run mines the whole
     window again, so the same inputs give the same bytes. Each file is
     written beside its target and then moved onto it, so a run that fails
-    or is killed leaves every earlier file whole. ``cursor_path`` is
-    accepted and ignored; it remains only for callers that still pass it.
+    or is killed leaves every earlier file whole. Every project's commits
+    are parsed first, before any request or write; a bad one raises
+    CommitsError naming the project. ``cursor_path`` is accepted and
+    ignored; it remains only for callers that still pass it.
     """
+    commit_records = {}
+    for project, commits in (commits_by_project or {}).items():
+        try:
+            commit_records[project] = normalize_commits(commits)
+        except RecordError as exc:
+            raise CommitsError(f"project {project}: {exc}") from None
     report = MineReport()
     archive = RawIssueArchive(archive_root) if archive_root else None
     disc_dir = os.path.join(out_dir, "discussions")
@@ -507,16 +503,13 @@ def mine_projects(
                 discussions.append(normalize_issue(raw, project))
             except RecordError as exc:
                 report.record_skip(project, raw.get("number"), exc)
-        with _replacing(os.path.join(disc_dir, f"{project_dirname(project)}.jsonl")) as tmp:
-            save_discussions(tmp, discussions)
-        commits = (commits_by_project or {}).get(project, [])
-        links = extract_commit_links(project, commits, raws)
+        save_discussions(os.path.join(disc_dir, f"{project_dirname(project)}.jsonl"), discussions)
+        links = extract_commit_links(project, commit_records.get(project, []), raws)
         report.links_found += len(links)
         all_links.extend(links)
 
-    with _replacing(os.path.join(out_dir, "links.jsonl")) as tmp:
-        save_links(tmp, all_links)
-    with _replacing(os.path.join(out_dir, "mine-report.json")) as tmp:
+    save_links(os.path.join(out_dir, "links.jsonl"), all_links)
+    with replacing(os.path.join(out_dir, "mine-report.json")) as tmp:
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(report.to_dict(), f, ensure_ascii=False, indent=2)
     return report

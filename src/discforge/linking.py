@@ -67,17 +67,18 @@ def prepare_discussions(
     return _resolve(example.id, example.discussion_ids, example.commit_timestamp, discussions)
 
 
-def attach_discussions(examples, links, discussions):
-    """Wire commit-link events into the examples' discussion_ids.
+def link_examples(examples, links, discussions):
+    """Wire commit-link events into each example's discussion_ids, one at a time.
 
     Links carry full or abbreviated commit shas; an event matches an
     example when one sha is a prefix of the other (both at least 7 hex
     chars, enforced by the record types). Ids and events naming an unknown
-    discussion are logged and ignored. Each example's discussion_ids come
-    out temporally filtered and ordered, most recent activity first.
+    discussion are logged and ignored. A linked example's discussion_ids
+    come out temporally filtered and ordered, most recent activity first.
 
-    Returns (linked_examples, dropped_examples): examples that end up
-    with no known discussion go to the dropped list unchanged.
+    Yields (example, linked) per example, in input order, where linked is
+    None when the example ends up with no known discussion. Only the links
+    and discussions are held, so `examples` may be a stream.
     """
     by_key = {(d.project, d.issue_number): d.id for d in discussions.values()}
 
@@ -87,7 +88,6 @@ def attach_discussions(examples, links, discussions):
     for event in links:
         buckets.setdefault(event.commit_sha[:7].lower(), []).append(event)
 
-    linked, dropped = [], []
     for ex in examples:
         ids = dict.fromkeys(ex.discussion_ids)  # insertion-ordered set
         for event in buckets.get(ex.commit_sha[:7].lower(), ()):
@@ -108,10 +108,22 @@ def attach_discussions(examples, links, discussions):
                 continue
             ids[disc_id] = None
         ordered = _resolve(ex.id, ids, ex.commit_timestamp, discussions)
-        if not ordered:
+        linked = None
+        if ordered:
+            linked = dataclasses.replace(ex, discussion_ids=tuple(d.id for d in ordered))
+        yield ex, linked
+
+
+def attach_discussions(examples, links, discussions):
+    """Link every example at once (see link_examples).
+
+    Returns (linked_examples, dropped_examples): examples that end up
+    with no known discussion go to the dropped list unchanged.
+    """
+    linked, dropped = [], []
+    for ex, linked_ex in link_examples(examples, links, discussions):
+        if linked_ex is None:
             dropped.append(ex)
-            continue
-        linked.append(
-            dataclasses.replace(ex, discussion_ids=tuple(d.id for d in ordered))
-        )
+        else:
+            linked.append(linked_ex)
     return linked, dropped

@@ -69,16 +69,19 @@ _CANONICAL_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 class RecordError(ValueError):
     """A record violated its schema or an invariant.
 
-    Carries the offending line number and field name when known, so loaders
-    can point at the exact spot in a file; ``message`` is the text without
-    that location prefix.
+    Carries the offending file, line number and field name when known, so
+    loaders can point at the exact spot in a file; ``message`` is the text
+    without that location prefix.
     """
 
-    def __init__(self, message, *, line=None, field=None):
+    def __init__(self, message, *, path=None, line=None, field=None):
         self.message = message
+        self.path = path
         self.line = line
         self.field = field
         prefix = ""
+        if path is not None:
+            prefix += f"{path}: "
         if line is not None:
             prefix += f"line {line}: "
         if field is not None:

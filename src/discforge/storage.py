@@ -3,14 +3,17 @@
 Everything row-shaped is JSON Lines (one record per line, UTF-8, no ASCII
 escaping); attention traces are individual JSON documents because their
 weight matrices are large. Loaders re-validate every record through the
-dataclass constructors and report failures with the file line number and
-the offending field.
+dataclass constructors and report failures with the file, the line number
+and the offending field. Every writer puts its bytes beside the target and
+moves them onto it once they are complete (``replacing``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 
 from .records import (
     AttentionTrace,
@@ -23,52 +26,98 @@ from .records import (
 )
 
 
-def _iter_jsonl(path):
-    """Yield (line_number, parsed_object) for each non-blank line."""
+def _iter_jsonl(path, parse):
+    """Yield parse(obj) for the JSON value on each non-blank line.
+
+    Invalid JSON and a RecordError from parse are re-raised naming the path
+    and the line; undecodable bytes name the path only, because the text
+    decoder reads ahead in blocks.
+    """
     with open(path, "r", encoding="utf-8") as f:
+        lineno = None
         try:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
                 try:
-                    yield lineno, json.loads(line)
+                    obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise RecordError(f"invalid JSON: {exc}", line=lineno) from None
+                    raise RecordError(f"invalid JSON: {exc}") from None
+                yield parse(obj)
+        except RecordError as exc:
+            raise RecordError(exc.message, path=path, line=lineno, field=exc.field) from None
         except UnicodeDecodeError as exc:
-            raise RecordError(f"{path}: {exc}") from None
+            raise RecordError(str(exc), path=path) from None
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yield the path to write `path`'s new bytes to; they replace `path` once the body completes.
+
+    The bytes go to ``<path>.tmp`` in the same directory, which is moved
+    onto `path` when the body completes and removed when it raises, so a
+    failed run leaves an existing file as it was and creates no new one.
+    The ".tmp" suffix keeps a file left by a killed run out of the
+    loaders' ``*.jsonl`` and ``*.json`` globs. A target that exists and is
+    not a regular file (a symlink such as ``/dev/stdout``, or a pipe) is
+    written in place.
+    """
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        yield path
+        return
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+@contextlib.contextmanager
+def jsonl_writer(path):
+    """Yield write(row), which adds one JSON line to `path`'s replacement."""
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+        yield lambda row: f.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def write_jsonl(path, rows) -> int:
     """Write JSON-ready rows, one per line; return how many were written."""
     n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for n, obj in enumerate(rows, start=1):
-            f.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    with jsonl_writer(path) as write:
+        for n, row in enumerate(rows, start=1):
+            write(row)
     return n
 
 
-def _load_records(path, from_dict):
-    out = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            out.append(from_dict(obj))
-        except RecordError as exc:
-            raise RecordError(exc.message, line=lineno, field=exc.field) from None
-    return out
+def iter_dataset(path):
+    """Yield the bug-fix examples of a JSONL file, one line at a time.
+
+    Each line is validated as it is read, and a duplicate id is rejected
+    when it is reached, so a consumer holds one example at a time.
+    """
+    first_at = {}
+
+    def parse(obj):
+        ex = BugFixExample.from_dict(obj)
+        if ex.id in first_at:
+            raise RecordError(
+                f"duplicate example id {ex.id!r} (first at record {first_at[ex.id]})",
+                field="id",
+            )
+        first_at[ex.id] = len(first_at) + 1
+        return ex
+
+    yield from _iter_jsonl(path, parse)
 
 
 def load_dataset(path) -> list[BugFixExample]:
     """Load bug-fix examples from JSONL, rejecting duplicate ids."""
-    examples = _load_records(path, BugFixExample.from_dict)
-    seen = {}
-    for pos, ex in enumerate(examples):
-        if ex.id in seen:
-            raise RecordError(
-                f"duplicate example id {ex.id!r} (first at record {seen[ex.id] + 1})",
-                field="id",
-            )
-        seen[ex.id] = pos
-    return examples
+    return list(iter_dataset(path))
 
 
 def save_dataset(path, examples) -> None:
@@ -92,10 +141,15 @@ def load_discussions(path) -> dict[str, Discussion]:
         if not paths:
             raise RecordError(f"no .jsonl files under {path}")
     out = {}
+
+    def parse(obj):
+        disc = Discussion.from_dict(obj)
+        if disc.id in out:
+            raise RecordError(f"duplicate discussion id {disc.id!r}", field="id")
+        return disc
+
     for p in paths:
-        for disc in _load_records(p, Discussion.from_dict):
-            if disc.id in out:
-                raise RecordError(f"duplicate discussion id {disc.id!r}", field="id")
+        for disc in _iter_jsonl(p, parse):
             out[disc.id] = disc
     return out
 
@@ -117,7 +171,7 @@ def load_attention_trace(path) -> AttentionTrace:
 
 
 def save_attention_trace(path, trace: AttentionTrace) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         json.dump(trace.to_dict(), f, ensure_ascii=False)
 
 
@@ -144,12 +198,17 @@ def load_traces(path) -> dict[str, AttentionTrace]:
 def load_candidates(path) -> dict[str, Candidate]:
     """Load candidate fixes, one per example id."""
     out = {}
-    for cand in _load_records(path, Candidate.from_dict):
+
+    def parse(obj):
+        cand = Candidate.from_dict(obj)
         if cand.example_id in out:
             raise RecordError(
                 f"duplicate candidate for example {cand.example_id!r}",
                 field="example_id",
             )
+        return cand
+
+    for cand in _iter_jsonl(path, parse):
         out[cand.example_id] = cand
     return out
 
@@ -160,7 +219,7 @@ def save_candidates(path, candidates) -> None:
 
 
 def load_links(path) -> list[CommitLinkEvent]:
-    return _load_records(path, CommitLinkEvent.from_dict)
+    return list(_iter_jsonl(path, CommitLinkEvent.from_dict))
 
 
 def save_links(path, links) -> None:
@@ -175,32 +234,34 @@ def load_descriptions(path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     Several rows per example are allowed (one per discussion); the same
     (example, discussion) pair twice is not.
     """
-    out = {}
     seen_pairs = set()
-    for lineno, obj in _iter_jsonl(path):
+
+    def parse(obj):
+        if not isinstance(obj, dict):
+            raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
         try:
             ex_id = obj["example_id"]
             disc_id = obj["discussion_id"]
             tokens = _check_tokens(obj["description_tokens"], "description_tokens")
         except KeyError as exc:
-            raise RecordError("missing", line=lineno, field=exc.args[0]) from None
-        except RecordError as exc:
-            raise RecordError(exc.message, line=lineno, field=exc.field) from None
+            raise RecordError("missing", field=exc.args[0]) from None
         if not isinstance(ex_id, str) or not isinstance(disc_id, str):
-            raise RecordError("ids must be strings", line=lineno, field="example_id")
+            raise RecordError("ids must be strings", field="example_id")
         if (ex_id, disc_id) in seen_pairs:
             raise RecordError(
-                f"duplicate description for ({ex_id!r}, {disc_id!r})",
-                line=lineno,
-                field="discussion_id",
+                f"duplicate description for ({ex_id!r}, {disc_id!r})", field="discussion_id"
             )
         seen_pairs.add((ex_id, disc_id))
+        return ex_id, disc_id, tokens
+
+    out = {}
+    for ex_id, disc_id, tokens in _iter_jsonl(path, parse):
         out.setdefault(ex_id, []).append((disc_id, tokens))
     return out
 
 
 def save_report(path, report: dict) -> None:
     """Write an analysis report as indented JSON (human-diffable)."""
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         json.dump(report, f, ensure_ascii=False, indent=2)
         f.write("\n")

@@ -362,6 +362,20 @@ class TestLink:
         assert [r["id"] for r in jsonl(dropped)] == ["e9"]
         assert "1 had no discussion" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, flag", [("link", "--dropped"), ("context", "--skipped")])
+    def test_two_outputs_naming_one_file_exit_2(self, corpus, tmp_path, capsys, command, flag):
+        (tmp_path / "links.jsonl").write_text("", encoding="utf-8")
+        out = tmp_path / "same.jsonl"
+        argv = {
+            "link": ["link", "--examples", str(corpus["dataset"]), "--links", str(tmp_path / "links.jsonl"),
+                     "--discussions", str(corpus["discussions"])],
+            "context": ["context", "--dataset", str(corpus["dataset"]), "--repr", "title",
+                        "--discussions", str(corpus["discussions"])],
+        }[command]
+        assert main([*argv, "--out", str(out), flag, str(tmp_path / "." / "same.jsonl")]) == 2
+        assert f"name the same file: {tmp_path / '.' / 'same.jsonl'}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestContext:
     def test_whole_discussion(self, corpus, tmp_path):
@@ -750,6 +764,30 @@ class TestConfigAndRunLog:
         err = capsys.readouterr().err
         assert str(bad) in err and "'utf-8' codec can't decode byte 0xff" in err
         assert "Traceback" not in err
+
+    def test_jsonl_record_error_names_the_file(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "cands" / "b.jsonl"
+        bad.parent.mkdir()
+        bad.write_text(json.dumps({"example_id": "e1", "candidate_tokens": ["x"]}) + "\n", encoding="utf-8")
+        assert main(["eval", "--refs", str(corpus["dataset"]), "--candidates", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 1: field 'source': missing\n"
+
+    def test_jsonl_error_in_a_discussions_directory_names_the_bad_file(self, corpus, tmp_path, capsys):
+        disc_dir = tmp_path / "discussions"
+        disc_dir.mkdir()
+        rows = jsonl(corpus["discussions"])
+        storage.write_jsonl(disc_dir / "a.jsonl", rows[:1])
+        del rows[1]["title"]
+        storage.write_jsonl(disc_dir / "b.jsonl", [dict(rows[0], id="x/y#1"), rows[1]])
+        (tmp_path / "links.jsonl").write_text("", encoding="utf-8")
+        out = tmp_path / "linked.jsonl"
+        assert main([
+            "link", "--examples", str(corpus["dataset"]), "--links", str(tmp_path / "links.jsonl"),
+            "--discussions", str(disc_dir), "--out", str(out),
+        ]) == 2
+        bad = disc_dir / "b.jsonl"
+        assert capsys.readouterr().err == f"error: {bad}: line 2: field 'title': missing\n"
+        assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main([

@@ -1,6 +1,7 @@
 """Mining: archives, the online transport loop, normalization, link extraction."""
 
 import json
+import os
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -13,10 +14,13 @@ from discforge.ingest import (
     extract_commit_links,
     fetch_issues,
     mine_projects,
+    normalize_commits,
     normalize_issue,
     project_dirname,
 )
 from discforge.records import CommitLinkEvent, Discussion, RecordError
+
+TOML4J_ARCHIVE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "toml4j", "archive")
 
 
 def raw_issue(number, created="2014-05-01T10:00:00Z", title=None, body="the body", comments=(), **extra):
@@ -361,10 +365,15 @@ SHA1 = "1234567890abcdef1234567890abcdef12345678"
 SHA2 = "feedface00feedface00feedface00feedface00"
 
 
+def commit_links(project, commits, raw_issues=()):
+    """extract_commit_links on commits in the form a --commits file holds them."""
+    return extract_commit_links(project, normalize_commits(commits), raw_issues)
+
+
 class TestExtractCommitLinks:
     def test_hash_reference_links_same_project(self):
         commits = [{"sha": SHA1, "message": "Fix crash. Closes #18", "timestamp": "2014-05-10T12:00:00Z"}]
-        links = extract_commit_links("p/q", commits)
+        links = commit_links("p/q", commits)
         assert len(links) == 1
         assert links[0].issue_number == 18
         assert links[0].commit_sha == SHA1
@@ -373,24 +382,24 @@ class TestExtractCommitLinks:
 
     def test_word_adjacent_hash_is_not_a_reference(self):
         commits = [{"sha": SHA1, "message": "see ticket abc#12 and path/#13", "timestamp": "2014-05-10T12:00:00Z"}]
-        assert extract_commit_links("p/q", commits) == []
+        assert commit_links("p/q", commits) == []
 
     def test_full_url_reference_can_cross_projects(self):
         msg = "Removed trailing newlines. Fixes https://github.com/other/proj/issues/7"
         commits = [{"sha": SHA1, "message": msg, "timestamp": "2014-05-10T12:00:00Z"}]
-        links = extract_commit_links("p/q", commits)
+        links = commit_links("p/q", commits)
         assert len(links) == 1
         assert links[0].project == "other/proj"
         assert links[0].issue_number == 7
 
     def test_missing_commit_timestamp_falls_back_to_issue_created(self):
         commits = [{"sha": SHA1, "message": "fixes #1"}]
-        links = extract_commit_links("p/q", commits, [raw_issue(1, created="2014-05-05T00:00:00Z")])
+        links = commit_links("p/q", commits, [raw_issue(1, created="2014-05-05T00:00:00Z")])
         assert links[0].linked_at == "2014-05-05T00:00:00Z"
 
     def test_unresolvable_timestamp_drops_the_link(self):
         commits = [{"sha": SHA1, "message": "fixes #99"}]
-        assert extract_commit_links("p/q", commits, [raw_issue(1)]) == []
+        assert commit_links("p/q", commits, [raw_issue(1)]) == []
 
     def test_timeline_events(self):
         issue = raw_issue(
@@ -401,7 +410,7 @@ class TestExtractCommitLinks:
                 {"event": "referenced", "commit_id": None},
             ],
         )
-        links = extract_commit_links("p/q", [], [issue])
+        links = commit_links("p/q", [], [issue])
         assert len(links) == 1
         assert links[0].link_source == "timeline_event"
         assert links[0].commit_sha == SHA2
@@ -410,12 +419,12 @@ class TestExtractCommitLinks:
     def test_duplicates_collapse_per_source(self):
         commits = [{"sha": SHA1, "message": "fixes #2, really fixes #2", "timestamp": "2014-05-10T12:00:00Z"}]
         issue = raw_issue(2, timeline=[{"event": "referenced", "commit_id": SHA1, "created_at": "2014-05-09T00:00:00Z"}])
-        links = extract_commit_links("p/q", commits, [issue])
+        links = commit_links("p/q", commits, [issue])
         assert len(links) == 2
         assert {ln.link_source for ln in links} == {"message_reference", "timeline_event"}
 
     def test_mapping_form_of_commits(self):
-        links = extract_commit_links(
+        links = commit_links(
             "p/q",
             {SHA1: {"message": "fixes #4", "timestamp": "2014-05-10T12:00:00Z"}},
         )
@@ -445,6 +454,23 @@ class TestMineProjects:
         links = (out / "links.jsonl").read_text().splitlines()
         assert len(links) == 1
         assert json.loads((out / "mine-report.json").read_text())["links_found"] == 1
+
+    def test_bad_commit_raises_before_any_write(self, tmp_path):
+        """The commits of every project are parsed before the first file is written."""
+        commits = {
+            "mwanji/toml4j": [{"sha": SHA1, "message": "fixes #18", "timestamp": "nope"}],
+        }
+        out = tmp_path / "out"
+        with pytest.raises(ingest.CommitsError, match="^project mwanji/toml4j: entry 0: field 'timestamp': "):
+            mine_projects(
+                ["mwanji/toml4j"],
+                "2014-01-01T00:00:00Z",
+                "2015-01-01T00:00:00Z",
+                str(out),
+                archive_root=TOML4J_ARCHIVE,
+                commits_by_project=commits,
+            )
+        assert not out.exists()
 
 
 MAY_1 = datetime(2014, 5, 1, 10, tzinfo=timezone.utc)

@@ -1,6 +1,7 @@
 """JSONL round trips and loader error reporting."""
 
 import json
+import re
 
 import pytest
 
@@ -59,11 +60,53 @@ def test_write_jsonl_counts_streamed_rows(tmp_path):
     assert path.read_text(encoding="utf-8") == ""
 
 
+def test_iter_dataset_yields_before_it_reads_a_later_duplicate(tmp_path):
+    path = tmp_path / "data.jsonl"
+    storage.save_dataset(path, [make_example(ex_id="e1"), make_example(ex_id="e2")])
+    with path.open("a", encoding="utf-8") as f:
+        f.write(json.dumps(make_example(ex_id="e1").to_dict()) + "\n")
+    rows = storage.iter_dataset(path)
+    assert [next(rows).id, next(rows).id] == ["e1", "e2"]
+    with pytest.raises(RecordError) as exc:
+        next(rows)
+    assert str(exc.value) == (
+        f"{path}: line 3: field 'id': duplicate example id 'e1' (first at record 1)"
+    )
+    assert (exc.value.path, exc.value.line) == (path, 3)
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "rows.jsonl"
+
+    def rows():
+        yield {"i": 1}
+        raise RecordError("boom")
+
+    with pytest.raises(RecordError, match="boom"):
+        storage.write_jsonl(path, rows())
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RecordError, match="boom"):
+        storage.write_jsonl(path, rows())
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text(encoding="utf-8") == "old\n"
+
+
+def test_symlinked_target_is_written_through(tmp_path):
+    real = tmp_path / "real.jsonl"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    assert storage.write_jsonl(link, [{"i": 1}]) == 1
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == '{"i": 1}\n'
+
+
 def test_loader_reports_array_line(tmp_path):
     path = tmp_path / "data.jsonl"
     good = json.dumps(make_example().to_dict())
     path.write_text(good + "\n" + json.dumps(["not", "a", "record"]) + "\n", encoding="utf-8")
-    with pytest.raises(RecordError, match="^line 2: expected a JSON object, got list$") as exc:
+    with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: line 2: expected a JSON object, got list$") as exc:
         storage.load_dataset(path)
     assert exc.value.line == 2
 
@@ -77,7 +120,7 @@ def test_loader_reports_line_of_record_missing_a_field(tmp_path):
     del rows[2]["linked_at"]
     path = tmp_path / "links.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    with pytest.raises(RecordError, match="^line 3: field 'linked_at': missing$") as exc:
+    with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: line 3: field 'linked_at': missing$") as exc:
         storage.load_links(path)
     assert exc.value.line == 3
     assert exc.value.field == "linked_at"
@@ -214,7 +257,8 @@ def test_descriptions_bad_token_keeps_line_and_field(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(
-        RecordError, match="^line 1: field 'description_tokens': empty-string token$"
+        RecordError,
+        match=f"^{re.escape(str(path))}: line 1: field 'description_tokens': empty-string token$",
     ) as exc:
         storage.load_descriptions(path)
     assert (exc.value.line, exc.value.field) == (1, "description_tokens")

@@ -20,7 +20,7 @@ from .evaluate import (
     exact_match,
     paired_bootstrap,
 )
-from .linking import attach_discussions, link_examples, order_discussions, temporal_filter
+from .linking import link_examples, order_discussions, temporal_filter
 from .records import (
     CONTEXT_KINDS,
     SEPARATOR,
@@ -78,7 +78,6 @@ __all__ = [
     "SEPARATOR",
     "SPLITS",
     "Utterance",
-    "attach_discussions",
     "best_exact_match",
     "build_context",
     "code_tokenize",

@@ -32,7 +32,7 @@ from .evaluate import (
     paired_bootstrap,
 )
 from .linking import link_examples
-from .records import CONTEXT_KINDS, ContextSpec, RecordError, record_digest
+from .records import CONTEXT_KINDS, ContextSpec, RecordError
 from .textproc import code_tokenize, subtokenize
 
 
@@ -195,11 +195,7 @@ def _apply_config(parser, sub_by_name, argv):
 
 
 def _digests(paths) -> dict:
-    out = {}
-    for p in paths:
-        if p and os.path.isfile(p):
-            out[p] = record_digest(p)
-    return out
+    return {p: storage.digest(p) for p in paths if p and (os.path.isfile(p) or os.path.isdir(p))}
 
 
 def _write_run_log(args, exit_code, details):
@@ -278,18 +274,20 @@ def _cmd_link(args) -> tuple[int, dict]:
     n_linked = n_dropped = 0
     with storage.jsonl_writer(args.out) as write_linked, _writer(args.dropped) as write_dropped:
         examples = storage.iter_dataset(args.examples)
-        for ex, linked in link_examples(examples, links, discussions):
-            if linked is None:
-                write_dropped(ex.to_dict())
-                n_dropped += 1
-            else:
-                write_linked(linked.to_dict())
+        for ex, ids in link_examples(examples, links, discussions):
+            row = ex.to_dict()
+            if ids:
+                row["discussion_ids"] = list(ids)
+                write_linked(row)
                 n_linked += 1
+            else:
+                write_dropped(row)
+                n_dropped += 1
     print(f"linked {n_linked} examples; {n_dropped} had no discussion")
     return 0, {
         "linked": n_linked,
         "dropped": n_dropped,
-        "inputs": _digests([args.examples, args.links]),
+        "inputs": _digests([args.examples, args.links, args.discussions]),
     }
 
 

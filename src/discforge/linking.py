@@ -1,4 +1,4 @@
-"""Attaching discussions to bug-fix examples and the temporal rules.
+"""Linking discussions to bug-fix examples, and the temporal rules.
 
 The temporal contract: a model input may only contain discussion content
 written strictly before the fixing commit. Equal timestamps are excluded
@@ -68,17 +68,16 @@ def prepare_discussions(
 
 
 def link_examples(examples, links, discussions):
-    """Wire commit-link events into each example's discussion_ids, one at a time.
+    """Yield (example, discussion_ids) per example, in input order; build no record.
 
-    Links carry full or abbreviated commit shas; an event matches an
-    example when one sha is a prefix of the other (both at least 7 hex
+    The ids are the example's own plus those of the link events matching
+    its commit: one sha is a prefix of the other (both at least 7 hex
     chars, enforced by the record types). Ids and events naming an unknown
-    discussion are logged and ignored. A linked example's discussion_ids
-    come out temporally filtered and ordered, most recent activity first.
-
-    Yields (example, linked) per example, in input order, where linked is
-    None when the example ends up with no known discussion. Only the links
-    and discussions are held, so `examples` may be a stream.
+    discussion are logged and ignored. The ids come temporally filtered
+    and ordered as prepare_discussions returns them, or () when none
+    remains. Only the links and discussions are held, so `examples` may
+    be a stream; ``dataclasses.replace(example, discussion_ids=ids)``
+    makes the linked record.
     """
     by_key = {(d.project, d.issue_number): d.id for d in discussions.values()}
 
@@ -108,22 +107,4 @@ def link_examples(examples, links, discussions):
                 continue
             ids[disc_id] = None
         ordered = _resolve(ex.id, ids, ex.commit_timestamp, discussions)
-        linked = None
-        if ordered:
-            linked = dataclasses.replace(ex, discussion_ids=tuple(d.id for d in ordered))
-        yield ex, linked
-
-
-def attach_discussions(examples, links, discussions):
-    """Link every example at once (see link_examples).
-
-    Returns (linked_examples, dropped_examples): examples that end up
-    with no known discussion go to the dropped list unchanged.
-    """
-    linked, dropped = [], []
-    for ex, linked_ex in link_examples(examples, links, discussions):
-        if linked_ex is None:
-            dropped.append(ex)
-        else:
-            linked.append(linked_ex)
-    return linked, dropped
+        yield ex, tuple(d.id for d in ordered)

@@ -165,6 +165,11 @@ def _check_str(value, field_name, *, allow_blank=False):
     return value
 
 
+def _check_list(value, field_name):
+    if not isinstance(value, (list, tuple)):  # a str or dict would iterate
+        raise RecordError(f"expected a list, got {type(value).__name__}", field=field_name)
+
+
 def is_hex_sha(value) -> bool:
     """True for a 7-40 character hex string (abbreviated or full sha)."""
     return (
@@ -287,6 +292,7 @@ class Discussion(_Record):
         _check_str(self.title, "title")
         _set(self, "created_at", _check_timestamp(self.created_at, "created_at"))
 
+        _check_list(self.utterances, "utterances")
         utts = tuple(
             u if isinstance(u, Utterance) else Utterance.from_dict(u)
             for u in self.utterances
@@ -357,6 +363,7 @@ class BugFixExample(_Record):
             )
         if self.oracle_msg_tokens is not None:
             _set(self, "oracle_msg_tokens", _check_tokens(self.oracle_msg_tokens, "oracle_msg_tokens"))
+        _check_list(self.discussion_ids, "discussion_ids")
         ids = tuple(_check_str(i, "discussion_ids") for i in self.discussion_ids)
         if len(set(ids)) != len(ids):
             raise RecordError("duplicate discussion id", field="discussion_ids")
@@ -425,6 +432,8 @@ class AttentionTrace(_Record):
                 f"num_input_tokens must be positive, got {self.num_input_tokens!r}",
                 field="num_input_tokens",
             )
+        _check_list(self.segments, "segments")
+        _check_list(self.weights, "weights")
         segs = tuple(
             s if isinstance(s, Segment) else Segment.from_dict(s) for s in self.segments
         )
@@ -575,14 +584,4 @@ class EvalReport:
             "per_example": dict(self.per_example),
         }
 
-
-def record_digest(path) -> str:
-    """Hex sha256 of a file, for embedding input identities in reports."""
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 

@@ -124,6 +124,29 @@ def save_dataset(path, examples) -> None:
     write_jsonl(path, (ex.to_dict() for ex in examples))
 
 
+def _jsonl_files(directory) -> list[str]:
+    """The ``*.jsonl`` paths directly inside `directory`, in sorted name order."""
+    return sorted(os.path.join(directory, n) for n in os.listdir(directory) if n.endswith(".jsonl"))
+
+
+def digest(path) -> str:
+    """Hex sha256 of a file, for embedding input identities in reports.
+
+    A directory's digest covers the sorted names and digests of the
+    ``*.jsonl`` files that load_discussions reads from it.
+    """
+    import hashlib  # loads OpenSSL, so only a run that takes a digest pays for it
+
+    if os.path.isdir(path):
+        listing = [[os.path.basename(p), digest(p)] for p in _jsonl_files(path)]
+        return hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 def load_discussions(path) -> dict[str, Discussion]:
     """Load discussions from a JSONL file or a directory of them.
 
@@ -133,11 +156,7 @@ def load_discussions(path) -> dict[str, Discussion]:
     """
     paths = [path]
     if os.path.isdir(path):
-        paths = sorted(
-            os.path.join(path, name)
-            for name in os.listdir(path)
-            if name.endswith(".jsonl")
-        )
+        paths = _jsonl_files(path)
         if not paths:
             raise RecordError(f"no .jsonl files under {path}")
     out = {}

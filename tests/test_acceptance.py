@@ -7,6 +7,7 @@ frozen literals derived by hand or by independent oracle code, never by
 running the library against itself.
 """
 
+import dataclasses
 import json
 import random
 import re
@@ -23,7 +24,7 @@ from discforge.evaluate import (
     paired_bootstrap,
 )
 from discforge.ingest import mine_projects
-from discforge.linking import attach_discussions, temporal_filter
+from discforge.linking import link_examples, temporal_filter
 from discforge.records import (
     AttentionTrace,
     BugFixExample,
@@ -138,11 +139,12 @@ def test_golden_example_pipeline(tmp_path):
 
     discussions = load_discussions(tmp_path / "discussions")
     examples = load_dataset(f"{fix}/examples.jsonl")
-    linked, dropped = attach_discussions(examples, links, discussions)
-    if dropped or [ex.discussion_ids for ex in linked] != [("mwanji/toml4j#18",)]:
+    pairs = list(link_examples(examples, links, discussions))
+    if [ids for _, ids in pairs] != [("mwanji/toml4j#18",)]:
         problems.append("linking did not attach the discussion")
 
-    ex = linked[0]
+    ex, ids = pairs[0]
+    ex = dataclasses.replace(ex, discussion_ids=ids)
     descriptions = load_descriptions(f"{fix}/descriptions.jsonl")
     traces = load_traces(f"{fix}/trace.json")
     for kind, expected in EXPECTED_CONTEXTS.items():

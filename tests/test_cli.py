@@ -1,5 +1,6 @@
 """Command-line behavior: files in, files out, exit codes, config layering."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -361,6 +362,52 @@ class TestLink:
         assert len(linked) == 1 and linked[0]["discussion_ids"] == ["demo/proj#1"]
         assert [r["id"] for r in jsonl(dropped)] == ["e9"]
         assert "1 had no discussion" in capsys.readouterr().out
+
+    def test_string_discussion_ids_exit_2_and_write_no_output(self, corpus, tmp_path, capsys):
+        row = make_example(ex_id="e1").to_dict()
+        row["discussion_ids"] = "demo/proj#1"
+        examples = tmp_path / "examples.jsonl"
+        examples.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        (tmp_path / "links.jsonl").write_text("", encoding="utf-8")
+        out = tmp_path / "linked.jsonl"
+        code = main([
+            "link", "--examples", str(examples), "--links", str(tmp_path / "links.jsonl"),
+            "--discussions", str(corpus["discussions"]), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{examples}: line 1: field 'discussion_ids': expected a list, got str" in err
+        assert not out.exists()
+
+    def test_run_log_digests_every_input_including_a_discussions_directory(self, corpus, tmp_path):
+        disc_dir = tmp_path / "discussions"
+        disc_dir.mkdir()
+        lines = corpus["discussions"].read_text(encoding="utf-8").splitlines(keepends=True)
+        (disc_dir / "b.jsonl").write_text(lines[1], encoding="utf-8")
+        (disc_dir / "a.jsonl").write_text(lines[0], encoding="utf-8")
+        (disc_dir / "notes.txt").write_text("not read", encoding="utf-8")
+        links = tmp_path / "links.jsonl"
+        links.write_text("", encoding="utf-8")
+        run_log = tmp_path / "runs.jsonl"
+        argv = [
+            "link", "--examples", str(corpus["dataset"]), "--links", str(links),
+            "--discussions", str(disc_dir), "--out", str(tmp_path / "linked.jsonl"),
+            "--run-log", str(run_log),
+        ]
+        assert main(argv) == 0
+        (disc_dir / "notes.txt").write_text("changed, still not read", encoding="utf-8")
+        assert main(argv) == 0
+        (disc_dir / "b.jsonl").write_text(lines[1].replace("Parser bug", "Parser bugs"), encoding="utf-8")
+        assert main(argv) == 0
+        first, second, third = (entry["inputs"] for entry in jsonl(run_log))
+        assert list(first) == [str(corpus["dataset"]), str(links), str(disc_dir)]
+        listing = [
+            [name, hashlib.sha256((disc_dir / name).read_bytes()).hexdigest()]
+            for name in ("a.jsonl", "b.jsonl")
+        ]
+        assert third[str(disc_dir)] == hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+        assert first == second
+        assert first[str(disc_dir)] != third[str(disc_dir)]
 
     @pytest.mark.parametrize("command, flag", [("link", "--dropped"), ("context", "--skipped")])
     def test_two_outputs_naming_one_file_exit_2(self, corpus, tmp_path, capsys, command, flag):

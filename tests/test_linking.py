@@ -1,8 +1,10 @@
-"""Temporal filtering, ordering, and attaching discussions to examples."""
+"""Temporal filtering, ordering, and linking discussions to examples."""
+
+import dataclasses
 
 from conftest import make_discussion, make_example, make_utterance
 from discforge.linking import (
-    attach_discussions,
+    link_examples,
     order_discussions,
     prepare_discussions,
     temporal_filter,
@@ -114,6 +116,8 @@ FULL_SHA = "ab12cd34e56f78901a2b3c4d5e6f78901a2b3c4d"
 
 
 class TestAttachDiscussions:
+    """link_examples yields each example with its linked discussion ids."""
+
     def setup_method(self):
         self.d1 = disc_with_times(
             ["2014-05-01T10:00:00Z"], disc_id="demo/proj#1", number=1
@@ -123,86 +127,77 @@ class TestAttachDiscussions:
         )
         self.discussions = {d.id: d for d in (self.d1, self.d2)}
 
+    def ids(self, ex, links):
+        ((got, ids),) = link_examples([ex], links, self.discussions)
+        assert got is ex
+        return ids
+
     def test_full_sha_match(self):
         ex = make_example(sha=FULL_SHA)
-        linked, dropped = attach_discussions([ex], [link(1, FULL_SHA)], self.discussions)
-        assert dropped == []
-        assert linked[0].discussion_ids == ("demo/proj#1",)
+        assert self.ids(ex, [link(1, FULL_SHA)]) == ("demo/proj#1",)
 
     def test_abbreviated_link_sha_matches_full_example_sha(self):
         ex = make_example(sha=FULL_SHA)
-        linked, _ = attach_discussions([ex], [link(1, FULL_SHA[:9])], self.discussions)
-        assert linked[0].discussion_ids == ("demo/proj#1",)
+        assert self.ids(ex, [link(1, FULL_SHA[:9])]) == ("demo/proj#1",)
 
     def test_abbreviated_example_sha_matches_full_link_sha(self):
         ex = make_example(sha=FULL_SHA[:7])
-        linked, _ = attach_discussions([ex], [link(1, FULL_SHA)], self.discussions)
-        assert linked[0].discussion_ids == ("demo/proj#1",)
+        assert self.ids(ex, [link(1, FULL_SHA)]) == ("demo/proj#1",)
 
     def test_sha_prefix_mismatch_beyond_bucket(self):
         ex = make_example(sha=FULL_SHA)
         near_miss = FULL_SHA[:7] + "0" * 33
         assert near_miss != FULL_SHA
-        linked, dropped = attach_discussions([ex], [link(1, near_miss)], self.discussions)
-        assert linked == []
-        assert dropped == [ex]
+        assert self.ids(ex, [link(1, near_miss)]) == ()
 
     def test_project_must_match(self):
         ex = make_example(sha=FULL_SHA)
-        ev = link(1, FULL_SHA, project="other/proj")
-        linked, dropped = attach_discussions([ex], [ev], self.discussions)
-        assert dropped == [ex]
+        assert self.ids(ex, [link(1, FULL_SHA, project="other/proj")]) == ()
 
     def test_unmined_discussion_ignored_with_warning(self, caplog):
         ex = make_example(sha=FULL_SHA)
         with caplog.at_level("WARNING"):
-            linked, dropped = attach_discussions(
-                [ex], [link(99, FULL_SHA)], self.discussions
-            )
-        assert dropped == [ex]
+            assert self.ids(ex, [link(99, FULL_SHA)]) == ()
         assert any("99" in r.message for r in caplog.records)
 
     def test_multiple_discussions_ordered_by_activity(self):
         ex = make_example(sha=FULL_SHA, commit_ts="2014-05-10T12:00:00Z")
-        linked, _ = attach_discussions(
-            [ex], [link(1, FULL_SHA), link(2, FULL_SHA)], self.discussions
-        )
-        assert linked[0].discussion_ids == ("demo/proj#2", "demo/proj#1")
+        ids = self.ids(ex, [link(1, FULL_SHA), link(2, FULL_SHA)])
+        assert ids == ("demo/proj#2", "demo/proj#1")
 
     def test_existing_ids_kept_without_duplication(self):
         ex = make_example(sha=FULL_SHA, discussion_ids=("demo/proj#1",))
-        linked, _ = attach_discussions(
-            [ex], [link(1, FULL_SHA), link(2, FULL_SHA)], self.discussions
-        )
-        assert sorted(linked[0].discussion_ids) == ["demo/proj#1", "demo/proj#2"]
+        ids = self.ids(ex, [link(1, FULL_SHA), link(2, FULL_SHA)])
+        assert sorted(ids) == ["demo/proj#1", "demo/proj#2"]
 
     def test_no_links_at_all_drops_example(self):
         ex = make_example(sha=FULL_SHA)
-        linked, dropped = attach_discussions([ex], [], self.discussions)
-        assert linked == [] and dropped == [ex]
+        assert self.ids(ex, []) == ()
 
     def test_case_insensitive_sha_matching(self):
         ex = make_example(sha=FULL_SHA)
-        linked, _ = attach_discussions(
-            [ex], [link(1, FULL_SHA.upper()[:12])], self.discussions
-        )
-        assert linked[0].discussion_ids == ("demo/proj#1",)
+        assert self.ids(ex, [link(1, FULL_SHA.upper()[:12])]) == ("demo/proj#1",)
 
     def test_only_unknown_ids_drop_example_unchanged(self):
         ex = make_example(sha=FULL_SHA, discussion_ids=("o/p#9",))
-        linked, dropped = attach_discussions([ex], [], self.discussions)
-        assert linked == []
-        assert dropped == [ex] and dropped[0] is ex
+        assert self.ids(ex, []) == ()
+        assert ex.discussion_ids == ("o/p#9",)
 
     def test_mixed_ids_keep_the_known_ones_ordered(self):
         ex = make_example(
             sha=FULL_SHA, discussion_ids=("o/p#9", "demo/proj#1", "o/p#8")
         )
-        linked, dropped = attach_discussions([ex], [link(2, FULL_SHA)], self.discussions)
-        assert dropped == []
-        assert linked[0].discussion_ids == ("demo/proj#2", "demo/proj#1")
+        assert self.ids(ex, [link(2, FULL_SHA)]) == ("demo/proj#2", "demo/proj#1")
 
-    def test_one_example_built_per_linked_example(self, monkeypatch):
+    def test_ids_match_prepare_discussions_on_the_linked_example(self):
+        ex = make_example(
+            sha=FULL_SHA, commit_ts="2014-05-03T00:00:00Z", discussion_ids=("demo/proj#2",)
+        )
+        ids = self.ids(ex, [link(1, FULL_SHA)])
+        linked = dataclasses.replace(ex, discussion_ids=ids)
+        assert ids == tuple(d.id for d in prepare_discussions(linked, self.discussions))
+
+    def test_no_example_built(self, monkeypatch):
         examples = [
             make_example(ex_id="e1", sha=FULL_SHA),
             make_example(ex_id="e2", sha=FULL_SHA, discussion_ids=("demo/proj#2",)),
@@ -216,9 +211,12 @@ class TestAttachDiscussions:
             post_init(self)
 
         monkeypatch.setattr(BugFixExample, "__post_init__", counting)
-        linked, dropped = attach_discussions(
-            examples, [link(1, FULL_SHA)], self.discussions
-        )
-        assert [ex.id for ex in linked] == ["e1", "e2"]
-        assert [ex.id for ex in dropped] == ["e3"]
-        assert built == ["e1", "e2"]
+        out = list(link_examples(iter(examples), [link(1, FULL_SHA)], self.discussions))
+        assert [ex for ex, _ in out] == examples
+        assert all(got is ex for (got, _), ex in zip(out, examples))
+        assert [ids for _, ids in out] == [
+            ("demo/proj#1",),
+            ("demo/proj#2", "demo/proj#1"),
+            (),
+        ]
+        assert built == []

@@ -308,6 +308,26 @@ class TestAttentionTrace:
         assert AttentionTrace.from_dict(t.to_dict()) == t
 
 
+@pytest.mark.parametrize("value", [5, "abc", {"x": 1}], ids=["int", "str", "dict"])
+@pytest.mark.parametrize(
+    "cls, make, field",
+    [
+        (Discussion, make_discussion, "utterances"),
+        (BugFixExample, make_example, "discussion_ids"),
+        (AttentionTrace, lambda: _trace([[1.0]]), "segments"),
+        (AttentionTrace, lambda: _trace([[1.0]]), "weights"),
+    ],
+    ids=["utterances", "discussion_ids", "segments", "weights"],
+)
+def test_sequence_field_must_be_a_list(cls, make, field, value):
+    d = make().to_dict()
+    d[field] = value
+    with pytest.raises(RecordError) as info:
+        cls.from_dict(d)
+    assert info.value.field == field
+    assert info.value.message == f"expected a list, got {type(value).__name__}"
+
+
 class TestMisc:
     def test_context_spec_rejects_unknown_kind(self):
         with pytest.raises(RecordError, match="kind"):

@@ -154,36 +154,10 @@ def _apply_config(parser, sub_by_name, argv):
             config_path = argv[i + 1]
         elif tok.startswith("--config="):
             config_path = tok.split("=", 1)[1]
-    command = argv[0] if argv and argv[0] in sub_by_name else None
     group_defaults = []
-    if config_path and command:
-        with open(config_path, "r", encoding="utf-8") as f:
-            try:
-                config = json.load(f)
-            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-                raise ValueError(f"--config {config_path}: invalid JSON: {exc}") from None
-        if not isinstance(config, dict):
-            raise ValueError(f"--config {config_path}: expected a JSON object")
-        sp = sub_by_name[command]
-        valid = {a.dest for a in sp._actions}
-        defaults = {}
-        for key, value in config.items():
-            dest = key.replace("-", "_")
-            if dest not in valid:
-                raise ValueError(f"--config {config_path}: unknown key {key!r}")
-            defaults[dest] = value
-        # A group member's config value applies only when no member is given.
-        for group in sp._mutually_exclusive_groups:
-            given = [a.dest for a in group._group_actions if a.dest in defaults]
-            if len(given) > 1:
-                raise ValueError(f"--config {config_path}: {' and '.join(given)} exclude each other")
-            if given:
-                group.required = False
-                group_defaults.append((group, given[0], defaults.pop(given[0])))
-        sp.set_defaults(**defaults)
-        for action in sp._actions:
-            if action.dest in defaults:
-                action.required = False
+    if config_path and argv[0] in sub_by_name:
+        from .config import apply_config  # a run without --config never compiles it
+        group_defaults = apply_config(sub_by_name[argv[0]], config_path)
     args = parser.parse_args(argv)
     if args.config != config_path:
         # argparse took an abbreviation of --config that the scan above missed.
@@ -429,7 +403,7 @@ def _cmd_stats(args) -> tuple[int, dict]:
     discussions = storage.load_discussions(args.discussions)
     descriptions = storage.load_descriptions(args.desc) if args.desc else None
     report = dataset_stats(examples, discussions, descriptions=descriptions)
-    report["inputs"] = _digests([args.dataset, args.desc])
+    report["inputs"] = _digests([args.dataset, args.discussions, args.desc])
     if args.out:
         storage.save_report(args.out, report)
     overall = report["overall"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .linking import prepare_discussions
-from .records import SPLITS, EvalReport
+from .records import SPLITS, EvalReport, _check_int
 from .textproc import code_tokenize
 
 
@@ -76,7 +76,7 @@ def paired_bootstrap(
     the system with the higher (or equal) exact-match rate. Each resample
     draws sample_size examples with replacement and the p-value is the
     fraction of resamples whose rate gap exceeds twice the observed gap.
-    seed must be an int, so the same call always gives the same p.
+    seed must be an int >= 0, so the same call always gives the same p.
     n_jobs is accepted for compatibility and has no effect: the resamples
     run on one thread.
     """
@@ -91,12 +91,9 @@ def paired_bootstrap(
     n = int(a.size)
     if n == 0:
         raise ValueError("outcome vectors are empty")
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if sample_size <= 0:
-        raise ValueError(f"sample_size must be positive, got {sample_size}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    _check_int(n_samples, "n_samples", 1)
+    _check_int(sample_size, "sample_size", 1)
+    _check_int(seed, "seed", 0)
 
     diff = a.astype(np.int64) - b.astype(np.int64)
     D = int(diff.sum())

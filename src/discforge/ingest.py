@@ -28,6 +28,7 @@ from .records import (
     Discussion,
     RecordError,
     Utterance,
+    _check_int,
     normalize_timestamp,
 )
 from .storage import replacing, save_discussions, save_links
@@ -275,9 +276,7 @@ def normalize_issue(raw: dict, project: str) -> Discussion:
     be a discussion (missing title, missing number, broken timestamps,
     comments predating the report).
     """
-    number = raw.get("number")
-    if not isinstance(number, int) or number <= 0:
-        raise RecordError(f"bad issue number {number!r}", field="number")
+    number = _check_int(raw.get("number"), "number", 1)
     title = raw.get("title")
     if not isinstance(title, str) or not title.strip():
         raise RecordError("missing title", field="title")
@@ -370,16 +369,20 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
     issues URL links to whatever project the URL names. Timeline evidence:
     referenced/cross-referenced/closed events on a mined issue that carry
     a commit_id. One event per (project, issue, sha, source) survives
-    deduplication.
+    deduplication. An issue whose number is not an int >= 1 is ignored.
     """
-    issue_created = {}
+    numbered = []
     for raw in raw_issues:
-        num = raw.get("number")
-        if isinstance(num, int):
-            try:
-                issue_created[num] = normalize_timestamp(raw.get("created_at"))
-            except RecordError:
-                pass
+        try:
+            numbered.append((_check_int(raw.get("number"), "number", 1), raw))
+        except RecordError:
+            pass
+    issue_created = {}
+    for num, raw in numbered:
+        try:
+            issue_created[num] = normalize_timestamp(raw.get("created_at"))
+        except RecordError:
+            pass
 
     events = []
 
@@ -418,10 +421,7 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
                 linked_at = issue_created.get(number)
             add(url_project, number, sha, linked_at, "message_reference")
 
-    for raw in raw_issues:
-        number = raw.get("number")
-        if not isinstance(number, int):
-            continue
+    for number, raw in numbered:
         for ev in raw.get("timeline", ()):
             if ev.get("event") not in _LINKING_EVENTS:
                 continue

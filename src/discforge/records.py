@@ -12,6 +12,9 @@ in declaration order, tuples as arrays and nested records as objects.
 (which then applies) or is typed ``| None``; any other absent or null key
 is an error naming the field. Unknown keys are ignored.
 
+Each kind of value has one checker, raising RecordError naming the field:
+``_check_int`` (an int >= a minimum, never a bool), ``_check_choice``, ``_check_sha``.
+
 A title's and an utterance's tokens (``Discussion.title_tokens``,
 ``Utterance.tokens``) are computed on first use and then kept on the
 record, so each loaded record is tokenized at most once however many
@@ -170,6 +173,20 @@ def _check_list(value, field_name):
         raise RecordError(f"expected a list, got {type(value).__name__}", field=field_name)
 
 
+def _check_int(value, field_name, minimum):
+    # bool is an int subclass: JSON true/false must not pass as 1/0.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RecordError(f"{field_name} must be an integer, got {value!r}", field=field_name)
+    if value < minimum:
+        raise RecordError(f"{field_name} must be >= {minimum}, got {value!r}", field=field_name)
+    return value
+
+
+def _check_choice(value, choices, field_name):
+    if value not in choices:
+        raise RecordError(f"{field_name} must be one of {choices}, got {value!r}", field=field_name)
+
+
 def is_hex_sha(value) -> bool:
     """True for a 7-40 character hex string (abbreviated or full sha)."""
     return (
@@ -177,6 +194,11 @@ def is_hex_sha(value) -> bool:
         and 7 <= len(value) <= 40
         and _HEX_DIGITS.issuperset(value)
     )
+
+
+def _check_sha(value, field_name):
+    if not is_hex_sha(value):
+        raise RecordError(f"{field_name} must be 7-40 hex chars, got {value!r}", field=field_name)
 
 
 def _weight_row(row, step) -> array:
@@ -249,8 +271,7 @@ class Utterance(_Record):
     body_tokens: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 0:
-            raise RecordError(f"bad utterance index {self.index!r}", field="index")
+        _check_int(self.index, "index", 0)
         _check_str(self.author, "author", allow_blank=True)
         _check_str(self.body_raw, "body_raw", allow_blank=True)
         _set(self, "created_at", _check_timestamp(self.created_at, "created_at"))
@@ -284,11 +305,7 @@ class Discussion(_Record):
     def __post_init__(self):
         _check_str(self.id, "id")
         _check_str(self.project, "project")
-        if not isinstance(self.issue_number, int) or self.issue_number <= 0:
-            raise RecordError(
-                f"issue_number must be a positive integer, got {self.issue_number!r}",
-                field="issue_number",
-            )
+        _check_int(self.issue_number, "issue_number", 1)
         _check_str(self.title, "title")
         _set(self, "created_at", _check_timestamp(self.created_at, "created_at"))
 
@@ -343,16 +360,9 @@ class BugFixExample(_Record):
     def __post_init__(self):
         _check_str(self.id, "id")
         _check_str(self.project, "project")
-        if not is_hex_sha(self.commit_sha):
-            raise RecordError(
-                f"commit_sha must be 7-40 hex chars, got {self.commit_sha!r}",
-                field="commit_sha",
-            )
+        _check_sha(self.commit_sha, "commit_sha")
         _set(self, "commit_timestamp", _check_timestamp(self.commit_timestamp, "commit_timestamp"))
-        if self.split not in SPLITS:
-            raise RecordError(
-                f"split must be one of {SPLITS}, got {self.split!r}", field="split"
-            )
+        _check_choice(self.split, SPLITS, "split")
         _set(self, "buggy_tokens", _check_tokens(self.buggy_tokens, "buggy_tokens", allow_empty_list=False))
         _set(self, "fixed_tokens", _check_tokens(self.fixed_tokens, "fixed_tokens", allow_empty_list=False))
         _set(self, "method_tokens", _check_tokens(self.method_tokens, "method_tokens", allow_empty_list=False))
@@ -382,29 +392,21 @@ class Segment(_Record):
     token_end: int
 
     def __post_init__(self):
-        if not isinstance(self.segment_id, int) or self.segment_id < 0:
-            raise RecordError(f"bad segment_id {self.segment_id!r}", field="segment_id")
-        if self.kind not in SEGMENT_KINDS:
-            raise RecordError(
-                f"kind must be one of {SEGMENT_KINDS}, got {self.kind!r}", field="kind"
-            )
+        _check_int(self.segment_id, "segment_id", 0)
+        _check_choice(self.kind, SEGMENT_KINDS, "kind")
         _check_str(self.discussion_id, "discussion_id")
         if self.kind == "utterance":
-            if not isinstance(self.utterance_index, int) or self.utterance_index < 0:
-                raise RecordError(
-                    "utterance segments need a non-negative utterance_index",
-                    field="utterance_index",
-                )
+            _check_int(self.utterance_index, "utterance_index", 0)
         elif self.utterance_index is not None:
             raise RecordError(
                 "title segments must not carry an utterance_index",
                 field="utterance_index",
             )
-        if not isinstance(self.token_start, int) or not isinstance(self.token_end, int):
-            raise RecordError("token offsets must be integers", field="token_start")
-        if self.token_start < 0 or self.token_start >= self.token_end:
+        _check_int(self.token_start, "token_start", 0)
+        _check_int(self.token_end, "token_end", 1)
+        if self.token_start >= self.token_end:
             raise RecordError(
-                f"need 0 <= token_start < token_end, got [{self.token_start}, {self.token_end})",
+                f"need token_start < token_end, got [{self.token_start}, {self.token_end})",
                 field="token_start",
             )
 
@@ -427,11 +429,7 @@ class AttentionTrace(_Record):
 
     def __post_init__(self):
         _check_str(self.example_id, "example_id")
-        if not isinstance(self.num_input_tokens, int) or self.num_input_tokens <= 0:
-            raise RecordError(
-                f"num_input_tokens must be positive, got {self.num_input_tokens!r}",
-                field="num_input_tokens",
-            )
+        _check_int(self.num_input_tokens, "num_input_tokens", 1)
         _check_list(self.segments, "segments")
         _check_list(self.weights, "weights")
         segs = tuple(
@@ -494,15 +492,8 @@ class ContextSpec:
     token_limit: int = 1024
 
     def __post_init__(self):
-        if self.kind not in CONTEXT_KINDS:
-            raise RecordError(
-                f"kind must be one of {CONTEXT_KINDS}, got {self.kind!r}", field="kind"
-            )
-        if not isinstance(self.token_limit, int) or self.token_limit < 1:
-            raise RecordError(
-                f"token_limit must be >= 1, got {self.token_limit!r}",
-                field="token_limit",
-            )
+        _check_choice(self.kind, CONTEXT_KINDS, "kind")
+        _check_int(self.token_limit, "token_limit", 1)
 
 
 @dataclass(frozen=True)
@@ -517,22 +508,10 @@ class CommitLinkEvent(_Record):
 
     def __post_init__(self):
         _check_str(self.project, "project")
-        if not isinstance(self.issue_number, int) or self.issue_number <= 0:
-            raise RecordError(
-                f"issue_number must be positive, got {self.issue_number!r}",
-                field="issue_number",
-            )
-        if not is_hex_sha(self.commit_sha):
-            raise RecordError(
-                f"commit_sha must be 7-40 hex chars, got {self.commit_sha!r}",
-                field="commit_sha",
-            )
+        _check_int(self.issue_number, "issue_number", 1)
+        _check_sha(self.commit_sha, "commit_sha")
         _set(self, "linked_at", _check_timestamp(self.linked_at, "linked_at"))
-        if self.link_source not in LINK_SOURCES:
-            raise RecordError(
-                f"link_source must be one of {LINK_SOURCES}, got {self.link_source!r}",
-                field="link_source",
-            )
+        _check_choice(self.link_source, LINK_SOURCES, "link_source")
 
 
 @dataclass(frozen=True)

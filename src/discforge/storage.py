@@ -22,6 +22,7 @@ from .records import (
     CommitLinkEvent,
     Discussion,
     RecordError,
+    _check_str,
     _check_tokens,
 )
 
@@ -259,13 +260,11 @@ def load_descriptions(path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
         if not isinstance(obj, dict):
             raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
         try:
-            ex_id = obj["example_id"]
-            disc_id = obj["discussion_id"]
+            ex_id = _check_str(obj["example_id"], "example_id")
+            disc_id = _check_str(obj["discussion_id"], "discussion_id")
             tokens = _check_tokens(obj["description_tokens"], "description_tokens")
         except KeyError as exc:
             raise RecordError("missing", field=exc.args[0]) from None
-        if not isinstance(ex_id, str) or not isinstance(disc_id, str):
-            raise RecordError("ids must be strings", field="example_id")
         if (ex_id, disc_id) in seen_pairs:
             raise RecordError(
                 f"duplicate description for ({ex_id!r}, {disc_id!r})", field="discussion_id"

@@ -713,6 +713,44 @@ class TestConfigAndRunLog:
         assert "unknown key 'cursor'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, config, problem",
+        [
+            ("tokenize", {"mode": "bogus"}, "key 'mode': invalid choice: 'bogus' (choose from "),
+            ("compare", {"samples": True}, "key 'samples': expected a string or an integer, got true"),
+            ("compare", {"samples": 2.5}, "key 'samples': expected a string or an integer, got 2.5"),
+            ("compare", {"samples": "2.5"}, "key 'samples': invalid int value: '2.5'"),
+            ("context", {"limit": True}, "key 'limit': expected a string or an integer, got true"),
+            ("compare", {"shared_only": 1}, "key 'shared_only': expected true or false, got 1"),
+        ],
+        ids=["bad-choice", "bool-for-int", "float-for-int", "str-not-int", "bool-limit", "int-for-switch"],
+    )
+    def test_config_value_is_checked_as_its_flag(self, corpus, tmp_path, capsys, command, config, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out.json"
+        d = str(corpus["dataset"])
+        argv = {
+            "tokenize": ["--in", d],
+            "compare": ["--refs", d, "--a", str(corpus["cand_a"]), "--b", str(corpus["cand_b"])],
+            "context": ["--dataset", d, "--repr", "title", "--discussions", str(corpus["discussions"])],
+        }[command]
+        assert main([command, "--config", str(cfg), *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {cfg}: {problem}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_string_value_is_converted_by_its_flag_type(self, corpus, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"limit": "4", "repr": "whole_discussion"}), encoding="utf-8")
+        out = tmp_path / "ctx.jsonl"
+        assert main([
+            "context", "--config", str(cfg), "--dataset", str(corpus["dataset"]),
+            "--discussions", str(corpus["discussions"]), "--out", str(out),
+        ]) == 0
+        lengths = [len(r["input_tokens"]) for r in jsonl(out)]
+        assert lengths and max(lengths) == 4
+
     def test_run_log_appends_machine_readable_lines(self, corpus, tmp_path):
         run_log = tmp_path / "runs.jsonl"
         for _ in range(2):

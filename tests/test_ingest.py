@@ -355,6 +355,11 @@ class TestNormalizeIssue:
         with pytest.raises(RecordError, match="number"):
             normalize_issue({"title": "x", "created_at": "2014-05-01T10:00:00Z"}, "p/q")
 
+    def test_boolean_number_rejected(self):
+        with pytest.raises(RecordError, match="number must be an integer, got True") as exc:
+            normalize_issue(raw_issue(True), "p/q")
+        assert exc.value.field == "number"
+
     def test_bad_comment_timestamp_rejects_issue(self):
         issue = raw_issue(1, comments=[{"body": "c", "created_at": "garbage"}])
         with pytest.raises(RecordError):
@@ -400,6 +405,11 @@ class TestExtractCommitLinks:
     def test_unresolvable_timestamp_drops_the_link(self):
         commits = [{"sha": SHA1, "message": "fixes #99"}]
         assert commit_links("p/q", commits, [raw_issue(1)]) == []
+
+    def test_boolean_issue_number_lends_no_timestamp_or_timeline(self):
+        # true == 1 as a dict key, so it must not stand in for issue 1.
+        issue = raw_issue(True, timeline=[{"event": "closed", "commit_id": SHA2}])
+        assert commit_links("p/q", [{"sha": SHA1, "message": "fixes #1"}], [issue]) == []
 
     def test_timeline_events(self):
         issue = raw_issue(

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from array import array
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -326,6 +327,44 @@ def test_sequence_field_must_be_a_list(cls, make, field, value):
         cls.from_dict(d)
     assert info.value.field == field
     assert info.value.message == f"expected a list, got {type(value).__name__}"
+
+
+def _link():
+    return CommitLinkEvent("p/q", 3, "abcdef0123", "2014-05-10T12:00:00Z", "timeline_event")
+
+
+def _segment():
+    return Segment(0, "utterance", "a#1", 0, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, "1", "below"], ids=["true", "false", "float", "str", "below"])
+@pytest.mark.parametrize(
+    "make, field, minimum",
+    [
+        (make_utterance, "index", 0),
+        (make_discussion, "issue_number", 1),
+        (_segment, "segment_id", 0),
+        (_segment, "utterance_index", 0),
+        (_segment, "token_start", 0),
+        (_segment, "token_end", 1),
+        (lambda: _trace([[1.0]]), "num_input_tokens", 1),
+        (lambda: ContextSpec(kind="title"), "token_limit", 1),
+        (_link, "issue_number", 1),
+    ],
+    ids=[
+        "Utterance.index", "Discussion.issue_number", "Segment.segment_id",
+        "Segment.utterance_index", "Segment.token_start", "Segment.token_end",
+        "AttentionTrace.num_input_tokens", "ContextSpec.token_limit", "CommitLinkEvent.issue_number",
+    ],
+)
+def test_integer_field_takes_only_an_int_at_or_above_its_minimum(make, field, minimum, bad):
+    record = make()
+    assert getattr(replace(record, **{field: minimum}), field) == minimum
+    value = minimum - 1 if bad == "below" else bad
+    with pytest.raises(RecordError) as info:
+        replace(record, **{field: value})
+    assert info.value.field == field
+    assert info.value.message.startswith(f"{field} must be ")
 
 
 class TestMisc:

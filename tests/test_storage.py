@@ -250,6 +250,16 @@ def test_descriptions_missing_field_names_it(tmp_path):
         storage.load_descriptions(path)
 
 
+def test_descriptions_bad_discussion_id_names_it(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"example_id": "e1", "discussion_id": 5, "description_tokens": ["x"]}\n', encoding="utf-8"
+    )
+    with pytest.raises(RecordError) as exc:
+        storage.load_descriptions(path)
+    assert (exc.value.line, exc.value.field) == (1, "discussion_id")
+
+
 def test_descriptions_bad_token_keeps_line_and_field(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(

@@ -5,7 +5,7 @@ its --fail-threshold allows (no other command exits 1); 2 for
 configuration, usage and input errors. A JSON file passed as --config
 (spelled out in full) supplies defaults for the chosen subcommand;
 explicit flags always win. Every run can append one machine-readable
-line to --run-log.
+line, fingerprinting its inputs, to --run-log.
 """
 
 from __future__ import annotations
@@ -36,10 +36,23 @@ from .records import CONTEXT_KINDS, ContextSpec, RecordError
 from .textproc import code_tokenize, subtokenize
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file of default values for this command's flags")
-    sp.add_argument("--run-log", help="append a machine-readable JSON line describing this run")
-    sp.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+# Every flag that names an input file or directory; a run fingerprints those it is given.
+_INPUTS = {
+    "--config": {"help": "JSON file of default values for this command's flags"},
+    "--projects": {"required": True, "help": "text file, one owner/name per line"},
+    "--commits": {"help": "JSON file mapping project -> commit records"},
+    "--examples": {"required": True},
+    "--links": {"required": True},
+    "--discussions": {"required": True, "help": "JSONL file or directory of them"},
+    "--in": {"dest": "in_path", "required": True},
+    "--dataset": {"required": True},
+    "--desc": {"help": "solution descriptions JSONL"},
+    "--traces": {"help": "attention trace file or directory"},
+    "--refs": {"required": True, "help": "dataset JSONL with the fixed code"},
+    "--candidates": {"required": True, "help": "JSONL file or directory of them"},
+    "--a": {"dest": "cand_a", "required": True},
+    "--b": {"dest": "cand_b", "required": True},
+}
 
 
 def build_parser():
@@ -50,20 +63,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sub_by_name = {}
 
-    def command(name, **kwargs):
+    def command(name, *inputs, **kwargs):
         sp = sub.add_parser(name, **kwargs)
-        _add_common(sp)
+        for flag in ("--config", *inputs):
+            sp.add_argument(flag, **_INPUTS[flag])
+        sp.add_argument("--run-log", help="append a machine-readable JSON line describing this run")
+        sp.add_argument("-v", "--verbose", action="store_true", help="debug logging")
         sub_by_name[name] = sp
         return sp
 
-    sp = command("mine", help="fetch issue discussions and commit links")
-    sp.add_argument("--projects", required=True, help="text file, one owner/name per line")
+    sp = command("mine", "--projects", "--commits", help="fetch issue discussions and commit links")
     sp.add_argument("--since", required=True, help="window start, ISO-8601 (inclusive)")
     sp.add_argument("--until", required=True, help="window end, ISO-8601 (exclusive)")
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--archive", help="read issues from this archive directory")
     src.add_argument("--token-env", help="name of the environment variable holding the API token")
-    sp.add_argument("--commits", help="JSON file mapping project -> commit records")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument(
         "--fail-threshold",
@@ -72,45 +86,36 @@ def build_parser():
         help="tolerate up to this many skipped issues before exiting 1",
     )
 
-    sp = command("link", help="attach mined discussions to bug-fix examples")
-    sp.add_argument("--examples", required=True)
-    sp.add_argument("--links", required=True)
-    sp.add_argument("--discussions", required=True, help="JSONL file or directory of them")
+    sp = command(
+        "link", "--examples", "--links", "--discussions",
+        help="attach mined discussions to bug-fix examples",
+    )
     sp.add_argument("--out", required=True)
     sp.add_argument("--dropped", help="where to write examples that got no discussion")
 
-    sp = command("tokenize", help="tokenize text lines from a file")
+    sp = command("tokenize", "--in", help="tokenize text lines from a file")
     sp.add_argument("--mode", choices=("code", "subtoken"), required=True)
-    sp.add_argument("--in", dest="in_path", required=True)
     sp.add_argument("--out", required=True, help="JSONL, one token array per input line")
 
-    sp = command("context", help="render model-input contexts for a dataset")
-    sp.add_argument("--dataset", required=True)
+    sp = command(
+        "context", "--dataset", "--discussions", "--desc", "--traces",
+        help="render model-input contexts for a dataset",
+    )
     sp.add_argument("--repr", choices=CONTEXT_KINDS, required=True)
-    sp.add_argument("--discussions", required=True)
-    sp.add_argument("--desc", help="solution descriptions JSONL")
-    sp.add_argument("--traces", help="attention trace file or directory")
     sp.add_argument("--limit", type=int, default=1024, help="token budget per context")
     sp.add_argument("--out", required=True)
     sp.add_argument("--skipped", help="where to record skipped examples and why")
 
-    sp = command("segments", help="render one context per discussion segment")
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--discussions", required=True)
+    sp = command("segments", "--dataset", "--discussions", help="render one context per discussion segment")
     sp.add_argument("--limit", type=int, default=1024)
     sp.add_argument("--out", required=True)
 
-    sp = command("eval", help="exact-match rate of one candidate file")
-    sp.add_argument("--refs", required=True, help="dataset JSONL with the fixed code")
-    sp.add_argument("--candidates", required=True)
+    sp = command("eval", "--refs", "--candidates", help="exact-match rate of one candidate set")
     sp.add_argument("--repr", default="", help="label for the report")
     sp.add_argument("--raw-strings", action="store_true", help="re-tokenize candidates before comparing")
     sp.add_argument("--out", help="write the full report JSON here")
 
-    sp = command("compare", help="paired bootstrap significance of a vs b")
-    sp.add_argument("--refs", required=True)
-    sp.add_argument("--a", dest="cand_a", required=True)
-    sp.add_argument("--b", dest="cand_b", required=True)
+    sp = command("compare", "--refs", "--a", "--b", help="paired bootstrap significance of a vs b")
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--size", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
@@ -127,15 +132,10 @@ def build_parser():
     )
     sp.add_argument("--out")
 
-    sp = command("oracle-eval", help="best exact match over several candidate sets")
-    sp.add_argument("--refs", required=True)
-    sp.add_argument("--candidates", required=True, help="directory of <source>.jsonl files")
+    sp = command("oracle-eval", "--refs", "--candidates", help="best exact match over several candidate sets")
     sp.add_argument("--out")
 
-    sp = command("stats", help="corpus summary statistics")
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--discussions", required=True)
-    sp.add_argument("--desc")
+    sp = command("stats", "--dataset", "--discussions", "--desc", help="corpus summary statistics")
     sp.add_argument("--out")
 
     return parser, sub_by_name
@@ -168,22 +168,15 @@ def _apply_config(parser, sub_by_name, argv):
     return args
 
 
-def _digests(paths) -> dict:
-    return {p: storage.digest(p) for p in paths if p and (os.path.isfile(p) or os.path.isdir(p))}
+def _fingerprints(sp, args):
+    """storage.digest of each input the run names, by path in flag order, for a run-log or report.
 
-
-def _write_run_log(args, exit_code, details):
-    if not getattr(args, "run_log", None):
-        return
-    entry = {
-        "command": args.command,
-        "argv": sys.argv[1:],
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "exit_code": exit_code,
-    }
-    entry.update(details)
-    with open(args.run_log, "a", encoding="utf-8") as f:
-        f.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    A path that does not exist is left to the command, which reports it.
+    """
+    if not (args.run_log or args.command in ("eval", "compare", "oracle-eval", "stats") and args.out):
+        return None
+    paths = (getattr(args, a.dest) for a in sp._actions if a.option_strings[0] in _INPUTS)
+    return {p: storage.digest(p) for p in paths if p and os.path.exists(p)}
 
 
 def _cmd_mine(args) -> tuple[int, dict]:
@@ -258,11 +251,7 @@ def _cmd_link(args) -> tuple[int, dict]:
                 write_dropped(row)
                 n_dropped += 1
     print(f"linked {n_linked} examples; {n_dropped} had no discussion")
-    return 0, {
-        "linked": n_linked,
-        "dropped": n_dropped,
-        "inputs": _digests([args.examples, args.links, args.discussions]),
-    }
+    return 0, {"linked": n_linked, "dropped": n_dropped}
 
 
 def _cmd_tokenize(args) -> tuple[int, dict]:
@@ -329,7 +318,7 @@ def _cmd_eval(args) -> tuple[int, dict]:
         examples, candidates, representation=args.repr, raw_strings=args.raw_strings
     )
     payload = report.to_dict()
-    payload["inputs"] = _digests([args.refs, args.candidates])
+    payload["inputs"] = args.inputs
     if args.out:
         storage.save_report(args.out, payload)
     print(
@@ -368,7 +357,7 @@ def _cmd_compare(args) -> tuple[int, dict]:
         "a": label_a,
         "b": label_b,
         "swapped": swapped,
-        "inputs": _digests([args.refs, args.cand_a, args.cand_b]),
+        "inputs": args.inputs,
     }
     payload.update(result.to_dict())
     if args.out:
@@ -383,14 +372,12 @@ def _cmd_compare(args) -> tuple[int, dict]:
 
 def _cmd_oracle_eval(args) -> tuple[int, dict]:
     examples = storage.load_dataset(args.refs)
-    sets = {}
-    for name in sorted(os.listdir(args.candidates)):
-        if name.endswith(".jsonl"):
-            sets[name[:-6]] = storage.load_candidates(os.path.join(args.candidates, name))
-    if not sets:
-        raise ValueError(f"--candidates {args.candidates}: no .jsonl files found")
+    sets = {
+        os.path.basename(p).removesuffix(".jsonl"): storage.load_candidates(p)
+        for p in storage.input_files(args.candidates)
+    }
     report = best_exact_match(examples, sets)
-    report["inputs"] = _digests([args.refs])
+    report["inputs"] = args.inputs
     if args.out:
         storage.save_report(args.out, report)
     rates = ", ".join(f"{k}={v}%" for k, v in report["sources"].items())
@@ -403,7 +390,7 @@ def _cmd_stats(args) -> tuple[int, dict]:
     discussions = storage.load_discussions(args.discussions)
     descriptions = storage.load_descriptions(args.desc) if args.desc else None
     report = dataset_stats(examples, discussions, descriptions=descriptions)
-    report["inputs"] = _digests([args.dataset, args.discussions, args.desc])
+    report["inputs"] = args.inputs
     if args.out:
         storage.save_report(args.out, report)
     overall = report["overall"]
@@ -442,12 +429,23 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        # Taken before the command writes, so an output that replaces an input is not fingerprinted.
+        args.inputs = _fingerprints(sub_by_name[args.command], args)
         code, details = _HANDLERS[args.command](args)
+        details["inputs"] = args.inputs
     except (MissingAuxInput, RecordError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_run_log(args, 2, {"error": str(exc)})
-        return 2
-    _write_run_log(args, code, details)
+        code, details = 2, {"error": str(exc)}
+    if args.run_log:
+        entry = {
+            "command": args.command,
+            "argv": argv,
+            "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "exit_code": code,
+            **details,
+        }
+        with open(args.run_log, "a", encoding="utf-8") as f:
+            f.write(json.dumps(entry, ensure_ascii=False) + "\n")
     return code
 
 

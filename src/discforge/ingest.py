@@ -207,6 +207,9 @@ def fetch_issues(
 
     def in_window(raw):
         report.issues_fetched += 1
+        if not isinstance(raw, dict):
+            report.record_skip(project, None, f"expected a JSON object, got {type(raw).__name__}")
+            return False
         if raw.get("pull_request") is not None:
             report.pull_requests_excluded += 1
             return False
@@ -234,7 +237,7 @@ def fetch_issues(
         past_window = False
         for raw in payload:
             try:
-                created = normalize_timestamp(raw.get("created_at"))
+                created = normalize_timestamp(raw.get("created_at") if isinstance(raw, dict) else None)
             except RecordError:
                 created = None
             if created is not None and created >= until:
@@ -273,8 +276,8 @@ def normalize_issue(raw: dict, project: str) -> Discussion:
 
     The issue body (when non-blank) becomes utterance 0; comments follow,
     re-sorted by creation time. Raises RecordError for records that cannot
-    be a discussion (missing title, missing number, broken timestamps,
-    comments predating the report).
+    be a discussion (missing title, missing number, broken timestamps, a
+    comment that is not an object, comments predating the report).
     """
     number = _check_int(raw.get("number"), "number", 1)
     title = raw.get("title")
@@ -289,7 +292,9 @@ def normalize_issue(raw: dict, project: str) -> Discussion:
     comments = raw.get("comments")
     if isinstance(comments, list):
         parsed = []
-        for c in comments:
+        for i, c in enumerate(comments):
+            if not isinstance(c, dict):
+                raise RecordError(f"comment {i}: expected a JSON object, got {type(c).__name__}")
             cbody = c.get("body")
             if not isinstance(cbody, str) or not cbody.strip():
                 continue
@@ -369,7 +374,8 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
     issues URL links to whatever project the URL names. Timeline evidence:
     referenced/cross-referenced/closed events on a mined issue that carry
     a commit_id. One event per (project, issue, sha, source) survives
-    deduplication. An issue whose number is not an int >= 1 is ignored.
+    deduplication. An issue whose number is not an int >= 1 is ignored, as
+    is (with a warning) a timeline that is not a list or an event that is not an object.
     """
     numbered = []
     for raw in raw_issues:
@@ -422,7 +428,14 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
             add(url_project, number, sha, linked_at, "message_reference")
 
     for number, raw in numbered:
-        for ev in raw.get("timeline", ()):
+        timeline = raw.get("timeline", [])
+        if not isinstance(timeline, list):
+            log.warning("ignoring timeline of %s#%s: not a list", project, number)
+            timeline = []
+        for ev in timeline:
+            if not isinstance(ev, dict):
+                log.warning("ignoring timeline event of %s#%s: not a JSON object", project, number)
+                continue
             if ev.get("event") not in _LINKING_EVENTS:
                 continue
             sha = ev.get("commit_id")

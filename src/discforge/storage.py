@@ -125,21 +125,49 @@ def save_dataset(path, examples) -> None:
     write_jsonl(path, (ex.to_dict() for ex in examples))
 
 
-def _jsonl_files(directory) -> list[str]:
-    """The ``*.jsonl`` paths directly inside `directory`, in sorted name order."""
-    return sorted(os.path.join(directory, n) for n in os.listdir(directory) if n.endswith(".jsonl"))
+def input_files(path, suffixes=(".jsonl",)) -> list:
+    """The files an input path stands for: a file itself, or a directory's files ending in `suffixes`.
+
+    A directory's files come in sorted name order, and there must be at least one.
+    """
+    if not os.path.isdir(path):
+        return [path]
+    files = sorted(os.path.join(path, n) for n in os.listdir(path) if n.endswith(suffixes))
+    if not files:
+        raise RecordError(f"no {' or '.join(suffixes)} files under {path}")
+    return files
+
+
+def _load_keyed(files, read, from_dict, key, what) -> dict:
+    """Merge the records `read(file, parse)` yields from each file into one dict by `key`.
+
+    parse rejects a key already merged, so `read` names the file and line in the error.
+    """
+    out = {}
+
+    def parse(obj):
+        record = from_dict(obj)
+        if getattr(record, key) in out:
+            raise RecordError(f"duplicate {what} {getattr(record, key)!r}", field=key)
+        return record
+
+    for f in files:
+        for record in read(f, parse):
+            out[getattr(record, key)] = record
+    return out
 
 
 def digest(path) -> str:
-    """Hex sha256 of a file, for embedding input identities in reports.
+    """Hex sha256 of an input file or directory, for embedding input identities in reports.
 
-    A directory's digest covers the sorted names and digests of the
-    ``*.jsonl`` files that load_discussions reads from it.
+    A directory's digest covers the sorted names and digests of its
+    ``*.json`` and ``*.jsonl`` files (input_files), so of the traces,
+    discussions or candidate sets a loader reads from it.
     """
     import hashlib  # loads OpenSSL, so only a run that takes a digest pays for it
 
     if os.path.isdir(path):
-        listing = [[os.path.basename(p), digest(p)] for p in _jsonl_files(path)]
+        listing = [[os.path.basename(p), digest(p)] for p in input_files(path, (".json", ".jsonl"))]
         return hashlib.sha256(json.dumps(listing).encode()).hexdigest()
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -149,29 +177,8 @@ def digest(path) -> str:
 
 
 def load_discussions(path) -> dict[str, Discussion]:
-    """Load discussions from a JSONL file or a directory of them.
-
-    Returns a mapping keyed by discussion id. A directory is read as every
-    ``*.jsonl`` file inside it, in sorted name order (the miner writes one
-    file per project).
-    """
-    paths = [path]
-    if os.path.isdir(path):
-        paths = _jsonl_files(path)
-        if not paths:
-            raise RecordError(f"no .jsonl files under {path}")
-    out = {}
-
-    def parse(obj):
-        disc = Discussion.from_dict(obj)
-        if disc.id in out:
-            raise RecordError(f"duplicate discussion id {disc.id!r}", field="id")
-        return disc
-
-    for p in paths:
-        for disc in _iter_jsonl(p, parse):
-            out[disc.id] = disc
-    return out
+    """Load discussions, keyed by id, from a JSONL file or a directory of them (one per project)."""
+    return _load_keyed(input_files(path), _iter_jsonl, Discussion.from_dict, "id", "discussion id")
 
 
 def save_discussions(path, discussions) -> None:
@@ -179,15 +186,23 @@ def save_discussions(path, discussions) -> None:
     write_jsonl(path, (d.to_dict() for d in rows))
 
 
-def load_attention_trace(path) -> AttentionTrace:
-    """Load and validate one attention trace JSON document."""
+def _iter_trace(path, parse):
+    """Yield parse(obj) for the one JSON document in an attention trace file; errors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return AttentionTrace.from_dict(json.load(f))
+            obj = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise RecordError(f"invalid JSON in {path}: {exc}") from None
+    try:
+        yield parse(obj)
     except RecordError as exc:
         raise RecordError(f"trace {path}: {exc.message}", field=exc.field) from None
+
+
+def load_attention_trace(path) -> AttentionTrace:
+    """Load and validate one attention trace JSON document."""
+    (trace,) = _iter_trace(path, AttentionTrace.from_dict)
+    return trace
 
 
 def save_attention_trace(path, trace: AttentionTrace) -> None:
@@ -196,41 +211,15 @@ def save_attention_trace(path, trace: AttentionTrace) -> None:
 
 
 def load_traces(path) -> dict[str, AttentionTrace]:
-    """Load a directory of ``*.json`` trace files, keyed by example id."""
-    if not os.path.isdir(path):
-        trace = load_attention_trace(path)
-        return {trace.example_id: trace}
-    out = {}
-    for name in sorted(os.listdir(path)):
-        if not name.endswith(".json"):
-            continue
-        trace = load_attention_trace(os.path.join(path, name))
-        if trace.example_id in out:
-            raise RecordError(
-                f"duplicate trace for example {trace.example_id!r}", field="example_id"
-            )
-        out[trace.example_id] = trace
-    if not out:
-        raise RecordError(f"no .json trace files under {path}")
-    return out
+    """Load a trace file, or a directory's ``*.json`` trace files, keyed by example id."""
+    files = input_files(path, (".json",))
+    return _load_keyed(files, _iter_trace, AttentionTrace.from_dict, "example_id", "trace for example")
 
 
 def load_candidates(path) -> dict[str, Candidate]:
-    """Load candidate fixes, one per example id."""
-    out = {}
-
-    def parse(obj):
-        cand = Candidate.from_dict(obj)
-        if cand.example_id in out:
-            raise RecordError(
-                f"duplicate candidate for example {cand.example_id!r}",
-                field="example_id",
-            )
-        return cand
-
-    for cand in _iter_jsonl(path, parse):
-        out[cand.example_id] = cand
-    return out
+    """Load candidate fixes, one per example id, from a JSONL file or a directory of them."""
+    files = input_files(path)
+    return _load_keyed(files, _iter_jsonl, Candidate.from_dict, "example_id", "candidate for example")
 
 
 def save_candidates(path, candidates) -> None:

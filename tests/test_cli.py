@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -177,6 +178,36 @@ class TestMine:
         report = json.loads((out / "mine-report.json").read_text())
         assert report["issues_skipped"] == 1
         assert "mined" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "issue_19, reasons",
+        [
+            ([1, 2], ["expected a JSON object, got list"]),
+            ({"comments": ["hi"]}, ["comment 0: expected a JSON object, got str"]),
+            ({"timeline": "closed"}, []),
+            ({"timeline": ["closed", 7]}, []),
+        ],
+        ids=["issue-not-an-object", "comment-not-an-object", "timeline-not-a-list", "event-not-an-object"],
+    )
+    def test_malformed_archived_issue_is_skipped_or_its_timeline_ignored(
+        self, tmp_path, capsys, caplog, issue_19, reasons
+    ):
+        projects, _ = self._write_archive(tmp_path)
+        good = json.loads((tmp_path / "arc" / "demo__proj" / "18.json").read_text(encoding="utf-8"))
+        if isinstance(issue_19, dict):
+            issue_19 = dict(good, number=19, **issue_19)
+        (tmp_path / "arc" / "demo__proj" / "19.json").write_text(json.dumps(issue_19), encoding="utf-8")
+        out = tmp_path / "mined"
+        argv = [
+            "mine", "--projects", str(projects),
+            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+            "--archive", str(tmp_path / "arc"), "--out", str(out),
+        ]
+        assert main(argv) == (1 if reasons else 0)
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "mine-report.json").read_text())
+        assert [s["reason"] for s in report["skip_reasons"]] == reasons
+        assert ("ignoring timeline" in caplog.text) == (not reasons)
 
     def test_archive_and_token_env_are_exclusive(self, tmp_path, capsys):
         projects, _ = self._write_archive(tmp_path)
@@ -631,7 +662,11 @@ class TestCompare:
             assert main(base + extra + ["--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0]
-        assert outputs[2] == outputs[0]
+        # The report fingerprints the config file too; the rest is the same.
+        plain, with_config = json.loads(outputs[0]), json.loads(outputs[2])
+        config_digest = hashlib.sha256(config.read_bytes()).hexdigest()
+        assert with_config.pop("inputs") == {str(config): config_digest, **plain.pop("inputs")}
+        assert with_config == plain
 
 
 class TestOracleEval:
@@ -652,7 +687,25 @@ class TestOracleEval:
         report = json.loads(out.read_text())
         assert report["sources"] == {"a": 50.0, "b": 100.0}
         assert report["best_exact_match_rate"] == 100.0
+        assert list(report["inputs"]) == [str(corpus["dataset"]), str(cdir)]
         assert "best exact match: 100.0%" in capsys.readouterr().out
+
+    def test_a_single_file_is_a_one_source_set(self, corpus, tmp_path):
+        out = tmp_path / "oracle.json"
+        assert main([
+            "oracle-eval", "--refs", str(corpus["dataset"]),
+            "--candidates", str(corpus["cand_a"]), "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["sources"] == {"cand_a": 50.0}
+        assert report["best_exact_match_rate"] == 50.0
+
+    def test_a_directory_without_jsonl_files_exits_2(self, corpus, tmp_path, capsys):
+        cdir = tmp_path / "cands"
+        cdir.mkdir()
+        (cdir / "a.json").write_bytes(corpus["cand_a"].read_bytes())
+        assert main(["oracle-eval", "--refs", str(corpus["dataset"]), "--candidates", str(cdir)]) == 2
+        assert capsys.readouterr().err == f"error: no .jsonl files under {cdir}\n"
 
 
 class TestStats:
@@ -881,3 +934,114 @@ class TestConfigAndRunLog:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+def expected_digest(path):
+    """storage.digest by its definition: a file's sha256, or a directory's listing of its JSON files."""
+    if path.is_dir():
+        files = sorted(p for p in path.iterdir() if p.suffix in (".json", ".jsonl"))
+        listing = [[p.name, expected_digest(p)] for p in files]
+        return hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def toml4j(tmp_path, monkeypatch):
+    """The toml4j fixture mined and linked in a fresh working directory, with a traces directory."""
+    shutil.copytree(TOML4J, tmp_path / "in")
+    (tmp_path / "in" / "traces").mkdir()
+    shutil.move(tmp_path / "in" / "trace.json", tmp_path / "in" / "traces" / "trace.json")
+    (tmp_path / "in" / "traces" / "notes.txt").write_text("not a trace", encoding="utf-8")
+    (tmp_path / "in" / "cands").mkdir()
+    for name in ("buggy", "fixed"):
+        shutil.move(tmp_path / "in" / f"candidate_{name}.jsonl", tmp_path / "in" / "cands" / f"{name}.jsonl")
+    (tmp_path / "in" / "projects.txt").write_text("mwanji/toml4j\n", encoding="utf-8")
+    (tmp_path / "cfg.json").write_text("{}", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main([*MINE_TOML4J, "--out", "mined"]) == 0
+    assert main([*LINK_TOML4J, "--out", "linked.jsonl"]) == 0
+    return tmp_path
+
+
+MINE_TOML4J = [
+    "mine", "--projects", "in/projects.txt", "--commits", "in/commits.json",
+    "--since", "2014-01-01T00:00:00Z", "--until", "2015-01-01T00:00:00Z", "--archive", "in/archive",
+]
+LINK_TOML4J = ["link", "--examples", "in/examples.jsonl", "--links", "mined/links.jsonl",
+               "--discussions", "mined/discussions"]
+DATASET = ["--dataset", "linked.jsonl", "--discussions", "mined/discussions"]
+
+
+class TestFingerprints:
+    # Each command with every input flag it takes; link, context and segments
+    # write their --out over an input, which is fingerprinted as it was before the run.
+    RUNS = {
+        "mine": [*MINE_TOML4J, "--out", "mined2"],
+        "link": [*LINK_TOML4J, "--out", "in/examples.jsonl"],
+        "tokenize": ["tokenize", "--in", "in/archive/mwanji__toml4j/18.json", "--mode", "code",
+                     "--out", "tokens.jsonl"],
+        "context": ["context", *DATASET, "--desc", "in/descriptions.jsonl", "--traces", "in/traces",
+                    "--repr", "attended_segments", "--out", "linked.jsonl"],
+        "segments": ["segments", *DATASET, "--out", "linked.jsonl"],
+        "eval": ["eval", "--refs", "linked.jsonl", "--candidates", "in/cands/fixed.jsonl", "--out", "r.json"],
+        "compare": ["compare", "--refs", "linked.jsonl", "--a", "in/cands/buggy.jsonl",
+                    "--b", "in/cands/fixed.jsonl", "--samples", "10", "--size", "10", "--out", "r.json"],
+        "oracle-eval": ["oracle-eval", "--refs", "linked.jsonl", "--candidates", "in/cands", "--out", "r.json"],
+        "stats": ["stats", *DATASET, "--desc", "in/descriptions.jsonl", "--out", "r.json"],
+    }
+    INPUT_FLAGS = {"--config", "--projects", "--commits", "--examples", "--links", "--discussions", "--in",
+                   "--dataset", "--desc", "--traces", "--refs", "--candidates", "--a", "--b"}
+
+    def test_runs_cover_every_command(self):
+        _, sub_by_name = build_parser()
+        assert set(self.RUNS) == set(sub_by_name)
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_run_log_and_report_carry_each_input_digest_from_before_the_run(self, toml4j, command):
+        argv = ["--config", "cfg.json", *self.RUNS[command][1:]]
+        paths = [value for flag, value in zip(argv, argv[1:]) if flag in self.INPUT_FLAGS]
+        want = {p: expected_digest(toml4j / p) for p in paths}
+        assert main([command, *argv, "--run-log", "runs.jsonl"]) == 0
+        (entry,) = jsonl(toml4j / "runs.jsonl")
+        assert list(entry["inputs"].items()) == list(want.items())
+        if "r.json" in argv:
+            assert json.loads((toml4j / "r.json").read_text(encoding="utf-8"))["inputs"] == want
+
+    def test_a_traces_directory_digest_covers_its_json_files(self, toml4j):
+        argv = ["context", *DATASET, "--traces", "in/traces", "--repr", "attended_segments",
+                "--out", "ctx.jsonl", "--run-log", "runs.jsonl"]
+        assert main(argv) == 0
+        (toml4j / "in" / "traces" / "notes.txt").write_text("changed, still not a trace", encoding="utf-8")
+        assert main(argv) == 0
+        trace = toml4j / "in" / "traces" / "trace.json"
+        trace.write_text(trace.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        assert main(argv) == 0
+        first, second, third = (entry["inputs"]["in/traces"] for entry in jsonl(toml4j / "runs.jsonl"))
+        assert first == second != third
+        listing = [["trace.json", hashlib.sha256(trace.read_bytes()).hexdigest()]]
+        assert third == hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+
+    def test_commands_without_run_log_leave_hashlib_unloaded(self, toml4j):
+        """A digest loads OpenSSL; link, context and segments take none unless a run-log carries it."""
+        argvs = [
+            [*LINK_TOML4J, "--out", "l.jsonl"],
+            ["context", *DATASET, "--repr", "whole_discussion", "--out", "c.jsonl"],
+            ["segments", *DATASET, "--out", "s.jsonl"],
+        ]
+        probe = (
+            "import sys; from discforge.cli import main; "
+            f"print(*[main(argv) for argv in {argvs!r}], 'hashlib' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(discforge.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, cwd=toml4j,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.split()[-4:] == ["0", "0", "0", "False"]
+
+    def test_run_log_argv_is_the_list_main_received(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+        argv = ["stats", "--dataset", str(corpus["dataset"]), "--discussions", str(corpus["discussions"]),
+                "--run-log", str(tmp_path / "runs.jsonl")]
+        assert main(argv) == 0
+        assert jsonl(tmp_path / "runs.jsonl")[0]["argv"] == argv

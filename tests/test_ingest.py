@@ -163,6 +163,20 @@ class TestFetchIssuesOnline:
         pages = [c["params"]["page"] for c in transport.calls]
         assert pages == [1, 2, 3]
 
+    def test_item_that_is_not_an_object_is_a_skipped_issue(self):
+        report = MineReport()
+        got = list(
+            fetch_issues(
+                "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
+                transport=FakeTransport([[raw_issue(1), [1, 2], "x"]]), report=report, sleep=lambda s: None,
+            )
+        )
+        assert [i["number"] for i in got] == [1]
+        assert report.skip_reasons == [
+            {"project": "p/q", "issue_number": None, "reason": "expected a JSON object, got list"},
+            {"project": "p/q", "issue_number": None, "reason": "expected a JSON object, got str"},
+        ]
+
     def test_issue_pages_end_at_first_short_page(self):
         for n in _PAGINATION_SIZES:
             transport = PagedTransport({ISSUES_URL: [raw_issue(i) for i in range(1, n + 1)]})

@@ -1,5 +1,6 @@
 """JSONL round trips and loader error reporting."""
 
+import hashlib
 import json
 import re
 
@@ -161,9 +162,22 @@ def test_discussion_duplicate_id_across_files(tmp_path):
     split_dir = tmp_path / "dir"
     split_dir.mkdir()
     storage.save_discussions(split_dir / "one.jsonl", [d])
-    storage.save_discussions(split_dir / "two.jsonl", [d])
-    with pytest.raises(RecordError, match="duplicate discussion id"):
+    storage.save_discussions(split_dir / "two.jsonl", [make_discussion(disc_id="x/y#2"), d])
+    with pytest.raises(RecordError) as exc:
         storage.load_discussions(split_dir)
+    assert str(exc.value) == f"{split_dir / 'two.jsonl'}: line 2: field 'id': duplicate discussion id {d.id!r}"
+
+
+def test_candidates_from_a_directory_reject_a_duplicate_across_files(tmp_path):
+    storage.save_candidates(tmp_path / "a.jsonl", [Candidate("e1", ("x",), "m1")])
+    storage.save_candidates(tmp_path / "b.jsonl", [Candidate("e2", ("y",), "m1")])
+    assert set(storage.load_candidates(tmp_path)) == {"e1", "e2"}
+    storage.save_candidates(tmp_path / "c.jsonl", [Candidate("e3", ("z",), "m2"), Candidate("e1", ("w",), "m2")])
+    with pytest.raises(RecordError) as exc:
+        storage.load_candidates(tmp_path)
+    assert str(exc.value) == (
+        f"{tmp_path / 'c.jsonl'}: line 2: field 'example_id': duplicate candidate for example 'e1'"
+    )
 
 
 def test_empty_discussion_directory_errors(tmp_path):
@@ -197,8 +211,17 @@ def test_traces_directory(tmp_path):
 def test_traces_duplicate_example(tmp_path):
     storage.save_attention_trace(tmp_path / "a.json", _trace("e1"))
     storage.save_attention_trace(tmp_path / "b.json", _trace("e1"))
-    with pytest.raises(RecordError, match="duplicate trace"):
+    with pytest.raises(RecordError) as exc:
         storage.load_traces(tmp_path)
+    assert str(exc.value) == f"field 'example_id': trace {tmp_path / 'b.json'}: duplicate trace for example 'e1'"
+
+
+def test_directory_digest_covers_its_json_and_jsonl_files(tmp_path):
+    (tmp_path / "a.jsonl").write_text("{}\n", encoding="utf-8")
+    (tmp_path / "b.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "c.txt").write_text("not an input", encoding="utf-8")
+    listing = [[name, storage.digest(tmp_path / name)] for name in ("a.jsonl", "b.json")]
+    assert storage.digest(tmp_path) == hashlib.sha256(json.dumps(listing).encode()).hexdigest()
 
 
 def test_candidates_round_trip_and_dup(tmp_path):

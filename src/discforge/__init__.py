@@ -39,6 +39,7 @@ from .records import (
 )
 from .storage import (
     iter_dataset,
+    iter_discussions,
     load_candidates,
     load_dataset,
     load_descriptions,
@@ -87,6 +88,7 @@ __all__ = [
     "exact_match",
     "extract_attended_segments",
     "iter_dataset",
+    "iter_discussions",
     "layout_whole_discussion",
     "link_examples",
     "load_candidates",

@@ -237,7 +237,7 @@ def _writer(path):
 def _cmd_link(args) -> tuple[int, dict]:
     _distinct_outputs(args, "out", "dropped")
     links = storage.load_links(args.links)
-    discussions = storage.load_discussions(args.discussions)
+    discussions = storage.iter_discussions(args.discussions)
     n_linked = n_dropped = 0
     with storage.jsonl_writer(args.out) as write_linked, _writer(args.dropped) as write_dropped:
         examples = storage.iter_dataset(args.examples)

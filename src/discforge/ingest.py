@@ -166,13 +166,16 @@ def _pages(transport, url, params, headers, *, sleep):
     """Yield the items of each non-empty page of a paged endpoint.
 
     The list ends at an empty page or at one shorter than PER_PAGE: the
-    API fills every page but the last.
+    API fills every page but the last. A page that is not a JSON list
+    (an error object, or a body that is not JSON) is a failed request.
     """
     page = 1
     while True:
         _, items = _request(
             transport, url, {**params, "per_page": PER_PAGE, "page": page}, headers, sleep=sleep
         )
+        if not isinstance(items, list):
+            raise _TrackerError(f"{url} page {page}: expected a JSON list, got {type(items).__name__}")
         if not items:
             return
         yield items

@@ -12,10 +12,38 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import logging
+from typing import NamedTuple
 
 from .records import BugFixExample, Discussion, normalize_timestamp
 
 log = logging.getLogger(__name__)
+
+
+def _kept(stamps, cutoff, key=None) -> int:
+    """The temporal rule: how many of a thread's time-sorted stamps fall strictly before the cutoff.
+
+    Those utterances are a prefix of the thread, and the only ones that
+    survive. `key` reads the stamp when the thread holds Utterance records.
+    """
+    return bisect.bisect_left(stamps, cutoff, key=key)
+
+
+class _Timeline(NamedTuple):
+    """What linking reads of a discussion: its keys and its utterances' timestamps."""
+
+    id: str
+    project: str
+    issue_number: int
+    created_at: str
+    stamps: tuple[str, ...]
+
+    @property
+    def last_activity_at(self):  # as Discussion derives it
+        return self.stamps[-1] if self.stamps else self.created_at
+
+    def before(self, cutoff):
+        """The timeline temporal_filter leaves: the stamps strictly before the cutoff."""
+        return self._replace(stamps=self.stamps[: _kept(self.stamps, cutoff)])
 
 
 def temporal_filter(discussion: Discussion, cutoff: str) -> Discussion:
@@ -25,9 +53,8 @@ def temporal_filter(discussion: Discussion, cutoff: str) -> Discussion:
     indexed 0..n-1 (Discussion guarantees both), so the survivors are a
     prefix that keeps its indexes; last_activity_at is recomputed.
     """
-    cutoff = normalize_timestamp(cutoff)
     utts = discussion.utterances
-    keep = bisect.bisect_left(utts, cutoff, key=lambda u: u.created_at)
+    keep = _kept(utts, normalize_timestamp(cutoff), key=lambda u: u.created_at)
     if keep == len(utts):
         return discussion
     return dataclasses.replace(
@@ -48,15 +75,15 @@ def order_discussions(discussions) -> list[Discussion]:
     )
 
 
-def _resolve(example_id, ids, cutoff, discussions) -> list[Discussion]:
-    """Resolve ids to discussions, temporally filter them, and order them."""
+def _resolve(example_id, ids, cutoff, index, cut):
+    """Look ids up in `index`, cut each entry at the cutoff with `cut`, and order them."""
     resolved = []
     for disc_id in ids:
-        disc = discussions.get(disc_id)
-        if disc is None:
+        entry = index.get(disc_id)
+        if entry is None:
             log.warning("example %s references unknown discussion %s", example_id, disc_id)
             continue
-        resolved.append(temporal_filter(disc, cutoff))
+        resolved.append(cut(entry, cutoff))
     return order_discussions(resolved)
 
 
@@ -64,7 +91,9 @@ def prepare_discussions(
     example: BugFixExample, discussions: dict[str, Discussion]
 ) -> list[Discussion]:
     """Resolve, temporally filter, and order an example's discussions."""
-    return _resolve(example.id, example.discussion_ids, example.commit_timestamp, discussions)
+    return _resolve(
+        example.id, example.discussion_ids, example.commit_timestamp, discussions, temporal_filter
+    )
 
 
 def link_examples(examples, links, discussions):
@@ -75,11 +104,18 @@ def link_examples(examples, links, discussions):
     chars, enforced by the record types). Ids and events naming an unknown
     discussion are logged and ignored. The ids come temporally filtered
     and ordered as prepare_discussions returns them, or () when none
-    remains. Only the links and discussions are held, so `examples` may
-    be a stream; ``dataclasses.replace(example, discussion_ids=ids)``
-    makes the linked record.
+    remains. `discussions` is any iterable of Discussion records (a
+    stream such as storage.iter_discussions, or a dict's values); before
+    the first example each is reduced to its ids and timestamps, so only
+    those and the links are held, and `examples` may be a stream too.
+    ``dataclasses.replace(example, discussion_ids=ids)`` makes the linked
+    record.
     """
-    by_key = {(d.project, d.issue_number): d.id for d in discussions.values()}
+    timelines = {
+        d.id: _Timeline(d.id, d.project, d.issue_number, d.created_at, tuple(u.created_at for u in d.utterances))
+        for d in discussions
+    }
+    by_key = {(t.project, t.issue_number): t.id for t in timelines.values()}
 
     # Bucket link events by the first 7 sha chars so prefix matching stays
     # linear over realistic corpora.
@@ -106,5 +142,5 @@ def link_examples(examples, links, discussions):
                 )
                 continue
             ids[disc_id] = None
-        ordered = _resolve(ex.id, ids, ex.commit_timestamp, discussions)
-        yield ex, tuple(d.id for d in ordered)
+        ordered = _resolve(ex.id, ids, ex.commit_timestamp, timelines, _Timeline.before)
+        yield ex, tuple(t.id for t in ordered)

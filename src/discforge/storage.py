@@ -138,23 +138,28 @@ def input_files(path, suffixes=(".jsonl",)) -> list:
     return files
 
 
-def _load_keyed(files, read, from_dict, key, what) -> dict:
-    """Merge the records `read(file, parse)` yields from each file into one dict by `key`.
+def _iter_keyed(files, read, from_dict, key, what):
+    """Yield the records `read(file, parse)` yields from each file, rejecting a key already yielded.
 
-    parse rejects a key already merged, so `read` names the file and line in the error.
+    parse makes the rejection, so `read` names the file and line in the error.
     """
-    out = {}
+    seen = set()
 
     def parse(obj):
         record = from_dict(obj)
-        if getattr(record, key) in out:
-            raise RecordError(f"duplicate {what} {getattr(record, key)!r}", field=key)
+        k = getattr(record, key)
+        if k in seen:
+            raise RecordError(f"duplicate {what} {k!r}", field=key)
+        seen.add(k)
         return record
 
     for f in files:
-        for record in read(f, parse):
-            out[getattr(record, key)] = record
-    return out
+        yield from read(f, parse)
+
+
+def _load_keyed(files, read, from_dict, key, what) -> dict:
+    """The records of _iter_keyed, in one dict by `key`."""
+    return {getattr(r, key): r for r in _iter_keyed(files, read, from_dict, key, what)}
 
 
 def digest(path) -> str:
@@ -176,9 +181,17 @@ def digest(path) -> str:
     return h.hexdigest()
 
 
+def iter_discussions(path):
+    """Yield the discussions of a JSONL file or a directory of them (one per project), one at a time.
+
+    Each line is validated as it is read, and a duplicate id is rejected when it is reached.
+    """
+    return _iter_keyed(input_files(path), _iter_jsonl, Discussion.from_dict, "id", "discussion id")
+
+
 def load_discussions(path) -> dict[str, Discussion]:
     """Load discussions, keyed by id, from a JSONL file or a directory of them (one per project)."""
-    return _load_keyed(input_files(path), _iter_jsonl, Discussion.from_dict, "id", "discussion id")
+    return {d.id: d for d in iter_discussions(path)}
 
 
 def save_discussions(path, discussions) -> None:

@@ -139,7 +139,7 @@ def test_golden_example_pipeline(tmp_path):
 
     discussions = load_discussions(tmp_path / "discussions")
     examples = load_dataset(f"{fix}/examples.jsonl")
-    pairs = list(link_examples(examples, links, discussions))
+    pairs = list(link_examples(examples, links, discussions.values()))
     if [ids for _, ids in pairs] != [("mwanji/toml4j#18",)]:
         problems.append("linking did not attach the discussion")
 

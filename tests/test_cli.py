@@ -305,8 +305,9 @@ class TestMine:
             (lambda: (404, {}, None), "returned 404"),
             (lambda: (500, {}, None), "kept returning 500"),
             (lambda: 1 / 0, "transport kept failing"),
+            (lambda: (200, {}, {"message": "Not Found"}), "page 1: expected a JSON list, got dict"),
         ],
-        ids=["404", "persistent-500", "raising-transport"],
+        ids=["404", "persistent-500", "raising-transport", "not-a-list"],
     )
     def test_tracker_failure_exits_2_with_run_log(
         self, tmp_path, capsys, monkeypatch, respond, problem

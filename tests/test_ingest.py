@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -303,6 +304,43 @@ class TestFetchIssuesOnline:
                     transport=transport, sleep=lambda s: None,
                 )
             )
+
+    NOT_FOUND = {"message": "Not Found", "documentation_url": "x"}
+
+    @pytest.mark.parametrize("payload", [NOT_FOUND, "Not Found", 3, None], ids=["object", "string", "number", "null"])
+    def test_issues_page_that_is_not_a_list_fails(self, payload):
+        transport = FakeTransport([payload])
+        with pytest.raises(OSError, match=re.escape(f"{ISSUES_URL} page 1: expected a JSON list, got {type(payload).__name__}")):
+            list(
+                fetch_issues(
+                    "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
+                    transport=transport, sleep=lambda s: None,
+                )
+            )
+        assert len(transport.calls) == 1
+
+    def test_comments_page_that_is_not_a_list_fails(self):
+        issue = raw_issue(1, comments_url=COMMENTS_URL)
+        issue["comments"] = 2
+        transport = FakeTransport([[issue], self.NOT_FOUND])
+        with pytest.raises(OSError, match=re.escape(f"{COMMENTS_URL} page 1: expected a JSON list, got dict")):
+            list(
+                fetch_issues(
+                    "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
+                    transport=transport, sleep=lambda s: None,
+                )
+            )
+        assert [c["url"] for c in transport.calls] == [ISSUES_URL, COMMENTS_URL]
+
+    def test_an_empty_list_still_ends_paging(self):
+        transport = FakeTransport([[raw_issue(n) for n in range(1, 101)], []])
+        got = list(
+            fetch_issues(
+                "p/q", "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z",
+                transport=transport, sleep=lambda s: None,
+            )
+        )
+        assert len(got) == 100 and len(transport.calls) == 2
 
     def test_token_env_indirection(self, monkeypatch):
         monkeypatch.setenv("MY_TOKEN", "sekret")

@@ -1,6 +1,11 @@
 """Temporal filtering, ordering, and linking discussions to examples."""
 
+import bisect
 import dataclasses
+import logging
+import random
+
+import pytest
 
 from conftest import make_discussion, make_example, make_utterance
 from discforge.linking import (
@@ -9,7 +14,7 @@ from discforge.linking import (
     prepare_discussions,
     temporal_filter,
 )
-from discforge.records import BugFixExample, CommitLinkEvent
+from discforge.records import BugFixExample, CommitLinkEvent, normalize_timestamp
 
 
 def disc_with_times(times, disc_id="p/q#1", number=1):
@@ -128,7 +133,7 @@ class TestAttachDiscussions:
         self.discussions = {d.id: d for d in (self.d1, self.d2)}
 
     def ids(self, ex, links):
-        ((got, ids),) = link_examples([ex], links, self.discussions)
+        ((got, ids),) = link_examples([ex], links, self.discussions.values())
         assert got is ex
         return ids
 
@@ -211,7 +216,7 @@ class TestAttachDiscussions:
             post_init(self)
 
         monkeypatch.setattr(BugFixExample, "__post_init__", counting)
-        out = list(link_examples(iter(examples), [link(1, FULL_SHA)], self.discussions))
+        out = list(link_examples(iter(examples), [link(1, FULL_SHA)], self.discussions.values()))
         assert [ex for ex, _ in out] == examples
         assert all(got is ex for (got, _), ex in zip(out, examples))
         assert [ids for _, ids in out] == [
@@ -220,3 +225,127 @@ class TestAttachDiscussions:
             (),
         ]
         assert built == []
+
+
+# ---------------------------------------------------------------------------
+# Randomized oracle: the rules as they were written before link_examples
+# read timelines instead of records, applied to whole Discussion records.
+
+
+def oracle_temporal_filter(discussion, cutoff):
+    cutoff = normalize_timestamp(cutoff)
+    utts = discussion.utterances
+    keep = bisect.bisect_left(utts, cutoff, key=lambda u: u.created_at)
+    if keep == len(utts):
+        return discussion
+    return dataclasses.replace(discussion, utterances=utts[:keep], last_activity_at=None)
+
+
+def oracle_order_discussions(discussions):
+    return sorted(discussions, key=lambda d: (d.last_activity_at, d.issue_number), reverse=True)
+
+
+def oracle_resolve(ids, cutoff, discussions):
+    resolved = [oracle_temporal_filter(discussions[i], cutoff) for i in ids if i in discussions]
+    return oracle_order_discussions(resolved)
+
+
+def oracle_link_ids(ex, links, discussions):
+    """Every event checked against the example, no buckets; then the old _resolve."""
+    by_key = {(d.project, d.issue_number): d.id for d in discussions.values()}
+    ids = dict.fromkeys(ex.discussion_ids)
+    ex_sha = ex.commit_sha.lower()
+    for event in links:
+        ev_sha = event.commit_sha.lower()
+        prefix = ev_sha.startswith(ex_sha) or ex_sha.startswith(ev_sha)
+        key = (event.project, event.issue_number)
+        if prefix and event.project == ex.project and key in by_key:
+            ids[by_key[key]] = None
+    return tuple(d.id for d in oracle_resolve(ids, ex.commit_timestamp, discussions))
+
+
+PROJECTS = ("a/x", "b/y", "c/z")
+# Few distinct stamps, so utterances at the cutoff and ties in last activity are common.
+STAMPS = tuple(f"2014-05-{day:02d}T{hour:02d}:00:00Z" for day in (1, 2, 3) for hour in (0, 12))
+
+
+def random_corpus(rng):
+    """(discussions by id, examples, links) with every case the rules distinguish."""
+    discussions = {}
+    for project in PROJECTS:
+        for number in rng.sample(range(1, 7), rng.randint(1, 5)):  # the same numbers across projects
+            stamps = sorted(rng.choices(STAMPS, k=rng.choice((0, 0, 1, 2, 3, 5))))  # empty threads too
+            utts = [make_utterance(i, t, body=f"{project} {number} msg {i}") for i, t in enumerate(stamps)]
+            created = rng.choice([t for t in STAMPS if not stamps or t <= stamps[0]])
+            d = make_discussion(f"{project}#{number}", project, number, created_at=created, utterances=utts)
+            discussions[d.id] = d
+    known = sorted(discussions)
+    examples, links = [], []
+    for i in range(rng.randint(1, 8)):
+        project = rng.choice(PROJECTS)
+        sha = "".join(rng.choice("0123456789abcdef") for _ in range(40))
+        own = rng.sample(known, rng.randint(0, 3)) + rng.sample(["ghost/p#1", "a/x#99"], rng.randint(0, 1))
+        rng.shuffle(own)
+        examples.append(make_example(
+            ex_id=f"e{i}", project=project, sha=sha[: rng.choice((7, 9, 40))],
+            commit_ts=rng.choice(STAMPS), discussion_ids=own,
+        ))
+        for _ in range(rng.randint(0, 4)):
+            ev_sha = sha[: rng.randint(7, 40)]
+            if rng.random() < 0.2:
+                ev_sha = sha[:7] + "f" * rng.randint(1, 33)  # shares the bucket, usually not the prefix
+            if rng.random() < 0.3:
+                ev_sha = ev_sha.upper()
+            links.append(CommitLinkEvent(
+                project=rng.choice((project, project, rng.choice(PROJECTS))),
+                issue_number=rng.randint(1, 8),  # some issues were never mined
+                commit_sha=ev_sha,
+                linked_at="2014-05-01T00:00:00Z",
+                link_source="message_reference",
+            ))
+    rng.shuffle(links)
+    return discussions, examples, links
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_link_and_prepare_match_the_record_oracle(seed, caplog):
+    caplog.set_level(logging.ERROR, logger="discforge.linking")
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(25):
+        discussions, examples, links = random_corpus(rng)
+        stream = iter(list(discussions.values()))
+        got = list(link_examples(iter(examples), links, stream))
+        assert [ex for ex, _ in got] == examples
+        for ex, ids in got:
+            assert ids == oracle_link_ids(ex, links, discussions), ex
+            for ex_ids in (ids, ex.discussion_ids):
+                linked = dataclasses.replace(ex, discussion_ids=ex_ids)
+                expected = oracle_resolve(ex_ids, ex.commit_timestamp, discussions)
+                assert prepare_discussions(linked, discussions) == expected, ex
+            seen.update(cases(ex, ids, links, discussions))
+    assert seen == set(CASES)
+
+
+CASES = ("at cutoff", "emptied", "activity tie", "number tie", "unknown id", "prefix link")
+
+
+def cases(ex, ids, links, discussions):
+    """Which of CASES one linked example exercises."""
+    found = {"unknown id"} if set(ex.discussion_ids) - set(discussions) else set()
+    linked = [discussions[i] for i in ids]
+    if any(u.created_at == ex.commit_timestamp for d in linked for u in d.utterances):
+        found.add("at cutoff")
+    filtered = [oracle_temporal_filter(d, ex.commit_timestamp) for d in linked]
+    if any(d.utterances and not f.utterances for d, f in zip(linked, filtered)):
+        found.add("emptied")
+    if len({f.last_activity_at for f in filtered}) < len(filtered):
+        found.add("activity tie")
+    if len({(f.last_activity_at, f.issue_number) for f in filtered}) < len(filtered):
+        found.add("number tie")
+    sha = ex.commit_sha.lower()
+    for e in links:
+        ev_sha = e.commit_sha.lower()
+        if e.project == ex.project and ev_sha != sha and (ev_sha.startswith(sha) or sha.startswith(ev_sha)):
+            found.add("prefix link")
+    return found

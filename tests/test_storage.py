@@ -168,6 +168,52 @@ def test_discussion_duplicate_id_across_files(tmp_path):
     assert str(exc.value) == f"{split_dir / 'two.jsonl'}: line 2: field 'id': duplicate discussion id {d.id!r}"
 
 
+def _bad_discussion_inputs(tmp_path):
+    """(input path, expected message) for each fault the discussion stream must report."""
+    d1, d2 = make_discussion(disc_id="a/b#1"), make_discussion(disc_id="a/b#2", number=2)
+    one = tmp_path / "one.jsonl"
+    storage.save_discussions(one, [d1, d2, d1])
+    split_dir = tmp_path / "dir"
+    split_dir.mkdir()
+    storage.save_discussions(split_dir / "a.jsonl", [d1])
+    storage.save_discussions(split_dir / "b.jsonl", [d2, d1])
+    bad = tmp_path / "bad.jsonl"
+    row = make_discussion(disc_id="a/b#3", number=3).to_dict()
+    row["issue_number"] = 0
+    storage.write_jsonl(bad, [d1.to_dict(), row])
+    return [
+        (one, f"{one}: line 3: field 'id': duplicate discussion id 'a/b#1'"),
+        (split_dir, f"{split_dir / 'b.jsonl'}: line 2: field 'id': duplicate discussion id 'a/b#1'"),
+        (bad, f"{bad}: line 2: field 'issue_number': issue_number must be >= 1, got 0"),
+    ]
+
+
+def test_iter_and_load_discussions_report_a_fault_alike(tmp_path):
+    for path, message in _bad_discussion_inputs(tmp_path):
+        stream = storage.iter_discussions(path)
+        assert next(stream).id == "a/b#1"  # yielded before the fault is read
+        with pytest.raises(RecordError) as streamed:
+            list(stream)
+        with pytest.raises(RecordError) as loaded:
+            storage.load_discussions(path)
+        assert str(streamed.value) == str(loaded.value) == message
+
+
+def test_link_with_a_bad_discussion_exits_2_and_writes_nothing(tmp_path, capsys):
+    from discforge.cli import main
+
+    storage.save_dataset(tmp_path / "ex.jsonl", [make_example()])
+    storage.save_links(tmp_path / "links.jsonl", [])
+    for path, message in _bad_discussion_inputs(tmp_path):
+        out, dropped = tmp_path / "linked.jsonl", tmp_path / "dropped.jsonl"
+        argv = ["link", "--examples", str(tmp_path / "ex.jsonl"), "--links", str(tmp_path / "links.jsonl"),
+                "--discussions", str(path), "--out", str(out), "--dropped", str(dropped)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not dropped.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_candidates_from_a_directory_reject_a_duplicate_across_files(tmp_path):
     storage.save_candidates(tmp_path / "a.jsonl", [Candidate("e1", ("x",), "m1")])
     storage.save_candidates(tmp_path / "b.jsonl", [Candidate("e2", ("y",), "m1")])

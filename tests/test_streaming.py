@@ -27,13 +27,15 @@ def sha(i):
     return f"{i:08x}" + "ab" * 16
 
 
-def write_corpus(root, n_examples=N_EXAMPLES, n_linked=None, vocab=None):
+def write_corpus(root, n_examples=N_EXAMPLES, n_linked=None, vocab=None, n_discussions=N_DISCUSSIONS, repeat=1):
     """Examples, discussions, links and descriptions under `root`.
 
     `examples.jsonl` carries no discussion_ids (the input of `link`);
     `dataset.jsonl` carries them (the input of `context` and `segments`),
     and some examples have none, so `context` skips them. Links and
-    discussions do not depend on `n_examples`.
+    discussions do not depend on `n_examples`; examples and links do not
+    depend on `n_discussions` (at least N_DISCUSSIONS) or on `repeat`,
+    the number of times each utterance's text is repeated.
     """
     root.mkdir(parents=True, exist_ok=True)
     discussions = [
@@ -42,11 +44,11 @@ def write_corpus(root, n_examples=N_EXAMPLES, n_linked=None, vocab=None):
             number=n,
             title=f"Crash number {n} in parser",
             utterances=[
-                make_utterance(0, "2014-05-01T10:00:00Z", f"report {n} body"),
-                make_utterance(1, "2014-05-02T10:00:00Z", f"a comment on {n}"),
+                make_utterance(0, "2014-05-01T10:00:00Z", " ".join([f"report {n} body"] * repeat)),
+                make_utterance(1, "2014-05-02T10:00:00Z", " ".join([f"a comment on {n}"] * repeat)),
             ],
         )
-        for n in range(1, N_DISCUSSIONS + 1)
+        for n in range(1, n_discussions + 1)
     ]
     vocab = vocab or [f"tok{j}" for j in range(40)]
     plain, linked, descriptions = [], [], []
@@ -206,3 +208,45 @@ def test_link_memory_does_not_grow_with_the_examples(tmp_path, capsys):
     capsys.readouterr()
     assert extra > 0
     assert peak_large - peak_small <= extra / 4, (peak_small, peak_large, extra)
+
+
+def test_link_memory_does_not_grow_with_the_discussion_text(tmp_path, capsys):
+    """link holds each discussion's ids and timestamps, not its text.
+
+    With the same examples and links and the utterance text 8 times
+    longer, link's traced peak may grow by at most a quarter of what
+    load_discussions holds for the extra text, measured on the same files.
+    """
+    n_discussions, repeat = 200, 40
+    short = write_corpus(tmp_path / "short", n_discussions=n_discussions, repeat=repeat)
+    long = write_corpus(tmp_path / "long", n_discussions=n_discussions, repeat=8 * repeat)
+    for name in ("examples.jsonl", "links.jsonl"):
+        assert (short / name).read_bytes() == (long / name).read_bytes()
+
+    def link(root):
+        argv, _, _ = command_argv("link", root, root)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+
+    def held(root):
+        base = tracemalloc.get_traced_memory()[0]
+        discussions = storage.load_discussions(root / "discussions.jsonl")
+        size = tracemalloc.get_traced_memory()[0] - base
+        assert len(discussions) == n_discussions
+        return size
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        link(short)  # warm-up: first-call caches and lazy imports
+        peak_short, peak_long = link(short), link(long)
+        extra = held(long) - held(short)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert extra > 0
+    assert peak_long - peak_short <= extra / 4, (peak_short, peak_long, extra)

@@ -4,8 +4,11 @@ Exit codes: 0 success; 1 when `mine` skips more malformed issues than
 its --fail-threshold allows (no other command exits 1); 2 for
 configuration, usage and input errors. A JSON file passed as --config
 (spelled out in full) supplies defaults for the chosen subcommand;
-explicit flags always win. Every run can append one machine-readable
-line, fingerprinting its inputs, to --run-log.
+explicit flags always win. Only `main` handles outputs: two that resolve
+to one file, or a --run-log naming an input, exit 2 before any write;
+it opens --run-log (one JSON line per run, fingerprinting the inputs)
+before the command runs, and writes the report of eval, compare,
+oracle-eval and stats with its `inputs`.
 """
 
 from __future__ import annotations
@@ -53,6 +56,20 @@ _INPUTS = {
     "--a": {"dest": "cand_a", "required": True},
     "--b": {"dest": "cand_b", "required": True},
 }
+# Every flag that names an output; every command takes --out, required unless it makes a report.
+_OUTPUTS = {
+    "--out": {"help": "output file (mine: a directory; a report command: its report JSON)"},
+    "--dropped": {"help": "where to write examples that got no discussion"},
+    "--skipped": {"help": "where to record skipped examples and why"},
+    "--run-log": {"help": "append a machine-readable JSON line describing this run"},
+}
+# Report commands, with the keys of the report their run-log line carries (None: all).
+_REPORTS = {
+    "eval": ("exact_match_rate", "n", "inputs"),
+    "compare": None,
+    "oracle-eval": ("best_exact_match_rate", "inputs"),
+    "stats": ("overall", "inputs"),
+}
 
 
 def build_parser():
@@ -63,11 +80,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sub_by_name = {}
 
-    def command(name, *inputs, **kwargs):
+    def command(name, *flags, **kwargs):
         sp = sub.add_parser(name, **kwargs)
-        for flag in ("--config", *inputs):
-            sp.add_argument(flag, **_INPUTS[flag])
-        sp.add_argument("--run-log", help="append a machine-readable JSON line describing this run")
+        for flag in ("--config", "--out", *flags, "--run-log"):
+            required = flag == "--out" and name not in _REPORTS
+            sp.add_argument(flag, **{"required": required, **_INPUTS.get(flag, _OUTPUTS.get(flag))})
         sp.add_argument("-v", "--verbose", action="store_true", help="debug logging")
         sub_by_name[name] = sp
         return sp
@@ -78,7 +95,6 @@ def build_parser():
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--archive", help="read issues from this archive directory")
     src.add_argument("--token-env", help="name of the environment variable holding the API token")
-    sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument(
         "--fail-threshold",
         type=int,
@@ -86,34 +102,25 @@ def build_parser():
         help="tolerate up to this many skipped issues before exiting 1",
     )
 
-    sp = command(
-        "link", "--examples", "--links", "--discussions",
-        help="attach mined discussions to bug-fix examples",
-    )
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--dropped", help="where to write examples that got no discussion")
+    command("link", "--examples", "--links", "--discussions", "--dropped",
+            help="attach mined discussions to bug-fix examples")
 
     sp = command("tokenize", "--in", help="tokenize text lines from a file")
     sp.add_argument("--mode", choices=("code", "subtoken"), required=True)
-    sp.add_argument("--out", required=True, help="JSONL, one token array per input line")
 
     sp = command(
-        "context", "--dataset", "--discussions", "--desc", "--traces",
+        "context", "--dataset", "--discussions", "--desc", "--traces", "--skipped",
         help="render model-input contexts for a dataset",
     )
     sp.add_argument("--repr", choices=CONTEXT_KINDS, required=True)
     sp.add_argument("--limit", type=int, default=1024, help="token budget per context")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--skipped", help="where to record skipped examples and why")
 
     sp = command("segments", "--dataset", "--discussions", help="render one context per discussion segment")
     sp.add_argument("--limit", type=int, default=1024)
-    sp.add_argument("--out", required=True)
 
     sp = command("eval", "--refs", "--candidates", help="exact-match rate of one candidate set")
     sp.add_argument("--repr", default="", help="label for the report")
     sp.add_argument("--raw-strings", action="store_true", help="re-tokenize candidates before comparing")
-    sp.add_argument("--out", help="write the full report JSON here")
 
     sp = command("compare", "--refs", "--a", "--b", help="paired bootstrap significance of a vs b")
     sp.add_argument("--samples", type=int, default=10000)
@@ -130,13 +137,10 @@ def build_parser():
         action="store_true",
         help="compare only examples where both sources produced a candidate",
     )
-    sp.add_argument("--out")
 
-    sp = command("oracle-eval", "--refs", "--candidates", help="best exact match over several candidate sets")
-    sp.add_argument("--out")
+    command("oracle-eval", "--refs", "--candidates", help="best exact match over several candidate sets")
 
-    sp = command("stats", "--dataset", "--discussions", "--desc", help="corpus summary statistics")
-    sp.add_argument("--out")
+    command("stats", "--dataset", "--discussions", "--desc", help="corpus summary statistics")
 
     return parser, sub_by_name
 
@@ -168,15 +172,33 @@ def _apply_config(parser, sub_by_name, argv):
     return args
 
 
+def _given(sp, args, flags):
+    """(flag, path) of each of `flags` that the command takes and the run names, in flag order."""
+    return [(a.option_strings[0], getattr(args, a.dest)) for a in sp._actions
+            if a.option_strings[0] in flags and getattr(args, a.dest)]
+
+
+def _check_outputs(sp, args):
+    """Reject two outputs that resolve to one file, and a --run-log that names an input.
+
+    An output may replace an input; appending a run-log line to one would corrupt it.
+    """
+    seen = {}
+    for flag, path in _given(sp, args, _INPUTS) + _given(sp, args, _OUTPUTS):
+        real = os.path.realpath(path)
+        if seen.get(real) in _OUTPUTS or (real in seen and flag == "--run-log"):
+            raise ValueError(f"{seen[real]} and {flag} name the same file: {path}")
+        seen[real] = flag
+
+
 def _fingerprints(sp, args):
     """storage.digest of each input the run names, by path in flag order, for a run-log or report.
 
     A path that does not exist is left to the command, which reports it.
     """
-    if not (args.run_log or args.command in ("eval", "compare", "oracle-eval", "stats") and args.out):
+    if not (args.run_log or args.command in _REPORTS and args.out):
         return None
-    paths = (getattr(args, a.dest) for a in sp._actions if a.option_strings[0] in _INPUTS)
-    return {p: storage.digest(p) for p in paths if p and os.path.exists(p)}
+    return {p: storage.digest(p) for _, p in _given(sp, args, _INPUTS) if os.path.exists(p)}
 
 
 def _cmd_mine(args) -> tuple[int, dict]:
@@ -216,26 +238,12 @@ def _cmd_mine(args) -> tuple[int, dict]:
     return code, {"report": report.to_dict(), "out": args.out}
 
 
-def _distinct_outputs(args, *flags):
-    """Reject two output flags that name one file: their writes would collide."""
-    seen = {}
-    for flag in flags:
-        path = getattr(args, flag)
-        if path is None:
-            continue
-        real = os.path.realpath(path)
-        if real in seen:
-            raise ValueError(f"--{seen[real]} and --{flag} name the same file: {path}")
-        seen[real] = flag
-
-
 def _writer(path):
     """storage.jsonl_writer for an optional output; with no path, rows are discarded."""
     return storage.jsonl_writer(path) if path else contextlib.nullcontext(lambda row: None)
 
 
 def _cmd_link(args) -> tuple[int, dict]:
-    _distinct_outputs(args, "out", "dropped")
     links = storage.load_links(args.links)
     discussions = storage.iter_discussions(args.discussions)
     n_linked = n_dropped = 0
@@ -256,19 +264,16 @@ def _cmd_link(args) -> tuple[int, dict]:
 
 def _cmd_tokenize(args) -> tuple[int, dict]:
     tokenizer = code_tokenize if args.mode == "code" else subtokenize
-    # The input is read first, so a missing or undecodable one creates no output file.
     with open(args.in_path, "r", encoding="utf-8") as fin:
         try:
-            lines = fin.readlines()
+            n = storage.write_jsonl(args.out, (tokenizer(line.rstrip("\n")) for line in fin))
         except UnicodeDecodeError as exc:
             raise ValueError(f"--in {args.in_path}: {exc}") from None
-    n = storage.write_jsonl(args.out, (tokenizer(line.rstrip("\n")) for line in lines))
     return 0, {"lines": n}
 
 
 def _cmd_context(args) -> tuple[int, dict]:
     spec = ContextSpec(kind=args.repr, token_limit=args.limit)
-    _distinct_outputs(args, "out", "skipped")
     discussions = storage.load_discussions(args.discussions)
     descriptions = storage.load_descriptions(args.desc) if args.desc else None
     traces = storage.load_traces(args.traces) if args.traces else None
@@ -318,14 +323,11 @@ def _cmd_eval(args) -> tuple[int, dict]:
         examples, candidates, representation=args.repr, raw_strings=args.raw_strings
     )
     payload = report.to_dict()
-    payload["inputs"] = args.inputs
-    if args.out:
-        storage.save_report(args.out, payload)
     print(
         f"exact match: {report.exact_match_rate}% "
         f"({payload['matches']}/{report.n}, {report.missing} missing)"
     )
-    return 0, {"exact_match_rate": report.exact_match_rate, "n": report.n}
+    return 0, payload
 
 
 def _cmd_compare(args) -> tuple[int, dict]:
@@ -353,15 +355,8 @@ def _cmd_compare(args) -> tuple[int, dict]:
         seed=args.seed,
         n_jobs=args.jobs,
     )
-    payload = {
-        "a": label_a,
-        "b": label_b,
-        "swapped": swapped,
-        "inputs": args.inputs,
-    }
-    payload.update(result.to_dict())
-    if args.out:
-        storage.save_report(args.out, payload)
+    # main stamps `inputs`; its key is placed here to keep the report's key order.
+    payload = {"a": label_a, "b": label_b, "swapped": swapped, "inputs": None, **result.to_dict()}
     note = " (arguments swapped so a is the stronger system)" if swapped else ""
     print(
         f"p = {result.p_value:.4f}  delta = {result.delta:+.4f}  "
@@ -377,12 +372,9 @@ def _cmd_oracle_eval(args) -> tuple[int, dict]:
         for p in storage.input_files(args.candidates)
     }
     report = best_exact_match(examples, sets)
-    report["inputs"] = args.inputs
-    if args.out:
-        storage.save_report(args.out, report)
     rates = ", ".join(f"{k}={v}%" for k, v in report["sources"].items())
     print(f"best exact match: {report['best_exact_match_rate']}%  ({rates})")
-    return 0, {"best_exact_match_rate": report["best_exact_match_rate"]}
+    return 0, report
 
 
 def _cmd_stats(args) -> tuple[int, dict]:
@@ -390,9 +382,6 @@ def _cmd_stats(args) -> tuple[int, dict]:
     discussions = storage.load_discussions(args.discussions)
     descriptions = storage.load_descriptions(args.desc) if args.desc else None
     report = dataset_stats(examples, discussions, descriptions=descriptions)
-    report["inputs"] = args.inputs
-    if args.out:
-        storage.save_report(args.out, report)
     overall = report["overall"]
     print(
         f"{overall['num_examples']} examples, "
@@ -400,7 +389,7 @@ def _cmd_stats(args) -> tuple[int, dict]:
         f"{overall['avg_discussions_per_example']} discussions/example, "
         f"{overall['avg_utterances_per_discussion']} utterances/discussion"
     )
-    return 0, {"overall": overall}
+    return 0, report
 
 
 _HANDLERS = {
@@ -421,6 +410,12 @@ def main(argv=None) -> int:
     parser, sub_by_name = build_parser()
     try:
         args = _apply_config(parser, sub_by_name, argv)
+        sp = sub_by_name[args.command]
+        _check_outputs(sp, args)
+        try:
+            run_log = open(args.run_log, "a", encoding="utf-8") if args.run_log else contextlib.nullcontext()
+        except OSError as exc:
+            raise ValueError(f"--run-log {args.run_log}: {exc.strerror}") from None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -428,24 +423,28 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    try:
-        # Taken before the command writes, so an output that replaces an input is not fingerprinted.
-        args.inputs = _fingerprints(sub_by_name[args.command], args)
-        code, details = _HANDLERS[args.command](args)
-        details["inputs"] = args.inputs
-    except (MissingAuxInput, RecordError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, details = 2, {"error": str(exc)}
-    if args.run_log:
-        entry = {
-            "command": args.command,
-            "argv": argv,
-            "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "exit_code": code,
-            **details,
-        }
-        with open(args.run_log, "a", encoding="utf-8") as f:
-            f.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    with run_log:
+        try:
+            # Taken before the command writes, so an output that replaces an input is not fingerprinted.
+            inputs = _fingerprints(sp, args)
+            code, details = _HANDLERS[args.command](args)
+            details["inputs"] = inputs
+            if args.command in _REPORTS:
+                if args.out:
+                    storage.save_report(args.out, details)
+                details = {k: details[k] for k in _REPORTS[args.command] or details}
+        except (MissingAuxInput, RecordError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code, details = 2, {"error": str(exc)}
+        if args.run_log:
+            entry = {
+                "command": args.command,
+                "argv": argv,
+                "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "exit_code": code,
+                **details,
+            }
+            run_log.write(json.dumps(entry, ensure_ascii=False) + "\n")
     return code
 
 

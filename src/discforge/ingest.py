@@ -368,6 +368,14 @@ def normalize_commits(commits):
     return out
 
 
+def _stamp(value):
+    """normalize_timestamp(value), or None for a value that is not a usable timestamp."""
+    try:
+        return normalize_timestamp(value)
+    except RecordError:
+        return None
+
+
 def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEvent]:
     """Find (issue, commit) associations for one project.
 
@@ -376,7 +384,10 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
     message links that commit to issue N of the same project; a full
     issues URL links to whatever project the URL names. Timeline evidence:
     referenced/cross-referenced/closed events on a mined issue that carry
-    a commit_id. One event per (project, issue, sha, source) survives
+    a commit_id. A link takes its evidence's own time (the commit's
+    timestamp, the event's created_at); without one, the mined issue's
+    created_at if the link names this project; else it is dropped with a
+    warning. One event per (project, issue, sha, source) survives
     deduplication. An issue whose number is not an int >= 1 is ignored, as
     is (with a warning) a timeline that is not a list or an event that is not an object.
     """
@@ -386,24 +397,13 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
             numbered.append((_check_int(raw.get("number"), "number", 1), raw))
         except RecordError:
             pass
-    issue_created = {}
-    for num, raw in numbered:
-        try:
-            issue_created[num] = normalize_timestamp(raw.get("created_at"))
-        except RecordError:
-            pass
-
+    issue_created = {num: ts for num, raw in numbered if (ts := _stamp(raw.get("created_at")))}
     events = []
 
-    def add(link_project, number, sha, linked_at, source):
+    def add(link_project, number, sha, ts, source):
+        linked_at = ts or (issue_created.get(number) if link_project == project else None)
         if linked_at is None:
-            log.warning(
-                "dropping %s link %s#%s -> %s: no usable timestamp",
-                source,
-                link_project,
-                number,
-                sha,
-            )
+            log.warning("dropping %s link %s#%s -> %s: no usable timestamp", source, link_project, number, sha)
             return
         try:
             events.append(
@@ -420,15 +420,9 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
 
     for sha, message, ts in commits:
         for m in _ISSUE_REF.finditer(message):
-            number = int(m.group(1))
-            linked_at = ts or issue_created.get(number)
-            add(project, number, sha, linked_at, "message_reference")
+            add(project, int(m.group(1)), sha, ts, "message_reference")
         for m in _ISSUE_URL.finditer(message):
-            url_project, number = m.group(1), int(m.group(2))
-            linked_at = ts
-            if linked_at is None and url_project == project:
-                linked_at = issue_created.get(number)
-            add(url_project, number, sha, linked_at, "message_reference")
+            add(m.group(1), int(m.group(2)), sha, ts, "message_reference")
 
     for number, raw in numbered:
         timeline = raw.get("timeline", [])
@@ -441,16 +435,8 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
                 continue
             if ev.get("event") not in _LINKING_EVENTS:
                 continue
-            sha = ev.get("commit_id")
-            if not sha:
-                continue
-            linked_at = ev.get("created_at") or issue_created.get(number)
-            if linked_at is not None:
-                try:
-                    linked_at = normalize_timestamp(linked_at)
-                except RecordError:
-                    linked_at = issue_created.get(number)
-            add(project, number, sha, linked_at, "timeline_event")
+            if ev.get("commit_id"):
+                add(project, number, ev["commit_id"], _stamp(ev.get("created_at")), "timeline_event")
 
     seen = set()
     unique = []

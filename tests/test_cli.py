@@ -110,19 +110,25 @@ class TestTokenize:
         assert main(["tokenize", "--mode", "code", "--in", str(missing), "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_undecodable_input_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("existing", [None, b'["an", "earlier", "output"]\n'])
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, existing):
+        """The input streams into --out's replacement, so a decode error leaves --out as it was."""
         src = tmp_path / "in.txt"
-        src.write_bytes(b"fine line\n\xff\n")
+        src.write_bytes(b"fine line\n" * 10000 + b"\xff\n")
+        out = tmp_path / "out.jsonl"
+        if existing is not None:
+            out.write_bytes(existing)
         run_log = tmp_path / "runs.jsonl"
         code = main([
-            "tokenize", "--mode", "subtoken", "--in", str(src), "--out", str(tmp_path / "out.jsonl"),
+            "tokenize", "--mode", "subtoken", "--in", str(src), "--out", str(out),
             "--run-log", str(run_log),
         ])
         assert code == 2
         err = capsys.readouterr().err
         assert f"--in {src}: 'utf-8' codec can't decode byte 0xff" in err
         assert jsonl(run_log)[0]["exit_code"] == 2
-        assert not (tmp_path / "out.jsonl").exists()
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_run_log_counts_lines_only(self, tmp_path):
         src = tmp_path / "in.txt"
@@ -1046,3 +1052,58 @@ class TestFingerprints:
                 "--run-log", str(tmp_path / "runs.jsonl")]
         assert main(argv) == 0
         assert jsonl(tmp_path / "runs.jsonl")[0]["argv"] == argv
+
+
+def tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestOutputs:
+    """main's output rules: each failure below exits 2 with one error line and writes nothing."""
+
+    # TestFingerprints' runs, each with an --out that does not exist yet.
+    RUNS = {c: [*argv[:-1], "fresh.out"] for c, argv in TestFingerprints.RUNS.items()}
+
+    def fails_cleanly(self, root, capsys, argv, message):
+        before = tree(root)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert tree(root) == before
+
+    def first_input(self, argv):
+        """The index of the first input flag's value: an input file of every command."""
+        return next(i for i, flag in enumerate(argv) if flag in TestFingerprints.INPUT_FLAGS) + 1
+
+    @pytest.mark.parametrize("names", ["--out", "an input"])
+    @pytest.mark.parametrize("command", [c for c in RUNS if c != "mine"])
+    def test_run_log_naming_its_out_or_an_input_exits_2_and_changes_no_file(
+        self, toml4j, capsys, command, names
+    ):
+        argv = self.RUNS[command]
+        i = self.first_input(argv)
+        flag, path = ("--out", "fresh.out") if names == "--out" else (argv[i - 1], argv[i])
+        message = f"{flag} and --run-log name the same file: {path}\n"
+        self.fails_cleanly(toml4j, capsys, [*argv, "--run-log", path], message)
+
+    # Each case: the --run-log to add (None: make the first input missing instead), and the error.
+    SWEEP = {
+        "run-log under a missing directory": (
+            "no/such/dir/runs.jsonl", "--run-log no/such/dir/runs.jsonl: No such file or directory"
+        ),
+        "run-log is a directory": ("in", "--run-log in: Is a directory"),
+        "missing input": (None, ""),
+    }
+
+    @pytest.mark.parametrize("case", list(SWEEP))
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_sweep_no_command_but_mine_exits_1(self, toml4j, capsys, command, case):
+        """mine exits 1 only for --fail-threshold; every command exits 2 for each of these faults."""
+        run_log, message = self.SWEEP[case]
+        argv = list(self.RUNS[command])
+        if run_log:
+            argv += ["--run-log", run_log]
+        else:
+            argv[self.first_input(argv)] = "absent.jsonl"
+        self.fails_cleanly(toml4j, capsys, argv, message)

@@ -458,6 +458,20 @@ class TestExtractCommitLinks:
         commits = [{"sha": SHA1, "message": "fixes #99"}]
         assert commit_links("p/q", commits, [raw_issue(1)]) == []
 
+    @pytest.mark.parametrize("message, event, want", [
+        ("fixes #1", None, [("p/q", "message_reference")]),
+        ("fixes https://github.com/p/q/issues/1", None, [("p/q", "message_reference")]),
+        ("fixes https://github.com/o/r/issues/1", None, []),
+        ("", {"event": "closed", "commit_id": SHA2}, [("p/q", "timeline_event")]),
+        ("", {"event": "closed", "commit_id": SHA2, "created_at": "nope"}, [("p/q", "timeline_event")]),
+    ])
+    def test_evidence_without_its_own_time_takes_this_projects_issue_creation(self, message, event, want):
+        """One rule for every kind of evidence; a link to another project's issue has no fallback."""
+        issue = raw_issue(1, created="2014-05-05T00:00:00Z", timeline=[event] if event else [])
+        links = commit_links("p/q", [{"sha": SHA1, "message": message}], [issue])
+        assert [(ln.project, ln.link_source) for ln in links] == want
+        assert all(ln.linked_at == "2014-05-05T00:00:00Z" for ln in links)
+
     def test_boolean_issue_number_lends_no_timestamp_or_timeline(self):
         # true == 1 as a dict key, so it must not stand in for issue 1.
         issue = raw_issue(True, timeline=[{"event": "closed", "commit_id": SHA2}])

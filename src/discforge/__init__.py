@@ -30,6 +30,7 @@ from .records import (
     Candidate,
     CommitLinkEvent,
     ContextSpec,
+    Description,
     Discussion,
     EvalReport,
     RecordError,
@@ -40,6 +41,7 @@ from .records import (
 from .storage import (
     iter_dataset,
     iter_discussions,
+    iter_links,
     load_candidates,
     load_dataset,
     load_descriptions,
@@ -70,6 +72,7 @@ __all__ = [
     "CONTEXT_KINDS",
     "ContextSkip",
     "ContextSpec",
+    "Description",
     "Discussion",
     "EvalReport",
     "KERNEL_BACKEND",
@@ -89,6 +92,7 @@ __all__ = [
     "extract_attended_segments",
     "iter_dataset",
     "iter_discussions",
+    "iter_links",
     "layout_whole_discussion",
     "link_examples",
     "load_candidates",

@@ -5,7 +5,8 @@ its --fail-threshold allows (no other command exits 1); 2 for
 configuration, usage and input errors. A JSON file passed as --config
 (spelled out in full) supplies defaults for the chosen subcommand;
 explicit flags always win. Only `main` handles outputs: two that resolve
-to one file, or a --run-log naming an input, exit 2 before any write;
+to one file, or a --run-log naming an input or a file `mine` writes
+under --out, exit 2 before any read or write;
 it opens --run-log (one JSON line per run, fingerprinting the inputs)
 before the command runs, and writes the report of eval, compare,
 oracle-eval and stats with its `inputs`.
@@ -179,7 +180,7 @@ def _given(sp, args, flags):
 
 
 def _check_outputs(sp, args):
-    """Reject two outputs that resolve to one file, and a --run-log that names an input.
+    """Reject two outputs that resolve to one file, and a --run-log that names an input or a file mine writes.
 
     An output may replace an input; appending a run-log line to one would corrupt it.
     """
@@ -189,6 +190,9 @@ def _check_outputs(sp, args):
         if seen.get(real) in _OUTPUTS or (real in seen and flag == "--run-log"):
             raise ValueError(f"{seen[real]} and {flag} name the same file: {path}")
         seen[real] = flag
+    if args.command == "mine" and args.run_log:
+        if ingest._replaces(os.path.realpath(args.out), os.path.realpath(args.run_log)):
+            raise ValueError(f"--run-log {args.run_log}: mine writes this file under --out {args.out}")
 
 
 def _fingerprints(sp, args):
@@ -244,7 +248,7 @@ def _writer(path):
 
 
 def _cmd_link(args) -> tuple[int, dict]:
-    links = storage.load_links(args.links)
+    links = storage.iter_links(args.links)
     discussions = storage.iter_discussions(args.discussions)
     n_linked = n_dropped = 0
     with storage.jsonl_writer(args.out) as write_linked, _writer(args.dropped) as write_dropped:

@@ -31,7 +31,7 @@ from .records import (
     _check_int,
     normalize_timestamp,
 )
-from .storage import replacing, save_discussions, save_links
+from .storage import _iter_json, replacing, save_discussions, save_links
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +45,9 @@ _ISSUE_URL = re.compile(r"https?://github\.com/([\w.-]+/[\w.-]+)/issues/(\d+)\b"
 
 # Timeline event types that carry a commit_id worth linking.
 _LINKING_EVENTS = frozenset({"referenced", "cross-referenced", "closed"})
+
+# What mine_projects writes under its out_dir: one <owner>__<name>.jsonl per project in _DISCUSSIONS.
+_LINKS, _REPORT, _DISCUSSIONS = "links.jsonl", "mine-report.json", "discussions"
 
 
 @dataclasses.dataclass
@@ -66,6 +69,16 @@ class MineReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _replaces(out_dir, path) -> bool:
+    """True for a resolved path that mine_projects may replace under the resolved out_dir.
+
+    That is its links or report file, or any .jsonl file in its discussions
+    directory, which a discussions loader would read.
+    """
+    rel = os.path.relpath(path, out_dir)
+    return rel in (_LINKS, _REPORT) or (os.path.dirname(rel) == _DISCUSSIONS and rel.endswith(".jsonl"))
 
 
 def project_dirname(project: str) -> str:
@@ -95,12 +108,7 @@ class RawIssueArchive:
             return (0, int(stem)) if stem.isdigit() else (1, stem)
 
         for name in sorted(names, key=number_key):
-            path = os.path.join(pdir, name)
-            with open(path, "r", encoding="utf-8") as f:
-                try:
-                    yield json.load(f)
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise RecordError(f"invalid JSON in {path}: {exc}") from None
+            yield from _iter_json(os.path.join(pdir, name), lambda raw: raw, lines=False)
 
 
 def _auth_headers(token_env) -> dict:
@@ -482,7 +490,7 @@ def mine_projects(
             raise CommitsError(f"project {project}: {exc}") from None
     report = MineReport()
     archive = RawIssueArchive(archive_root) if archive_root else None
-    disc_dir = os.path.join(out_dir, "discussions")
+    disc_dir = os.path.join(out_dir, _DISCUSSIONS)
     os.makedirs(disc_dir, exist_ok=True)
 
     all_links = []
@@ -510,8 +518,8 @@ def mine_projects(
         report.links_found += len(links)
         all_links.extend(links)
 
-    save_links(os.path.join(out_dir, "links.jsonl"), all_links)
-    with replacing(os.path.join(out_dir, "mine-report.json")) as tmp:
+    save_links(os.path.join(out_dir, _LINKS), all_links)
+    with replacing(os.path.join(out_dir, _REPORT)) as tmp:
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(report.to_dict(), f, ensure_ascii=False, indent=2)
     return report

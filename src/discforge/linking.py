@@ -104,40 +104,41 @@ def link_examples(examples, links, discussions):
     chars, enforced by the record types). Ids and events naming an unknown
     discussion are logged and ignored. The ids come temporally filtered
     and ordered as prepare_discussions returns them, or () when none
-    remains. `discussions` is any iterable of Discussion records (a
-    stream such as storage.iter_discussions, or a dict's values); before
-    the first example each is reduced to its ids and timestamps, so only
-    those and the links are held, and `examples` may be a stream too.
+    remains. `links`, `discussions` and `examples` may each be a stream
+    (storage.iter_links, iter_discussions, iter_dataset) and are read in
+    that order. Before the first example each link is reduced to its
+    (sha, project, issue number) and each discussion to its ids and
+    timestamps, so only those are held.
     ``dataclasses.replace(example, discussion_ids=ids)`` makes the linked
     record.
     """
+    # Bucket link keys by the first 7 sha chars so prefix matching stays
+    # linear over realistic corpora.
+    buckets = {}
+    for event in links:
+        sha = event.commit_sha.lower()
+        buckets.setdefault(sha[:7], []).append((sha, event.project, event.issue_number))
+
     timelines = {
         d.id: _Timeline(d.id, d.project, d.issue_number, d.created_at, tuple(u.created_at for u in d.utterances))
         for d in discussions
     }
     by_key = {(t.project, t.issue_number): t.id for t in timelines.values()}
 
-    # Bucket link events by the first 7 sha chars so prefix matching stays
-    # linear over realistic corpora.
-    buckets = {}
-    for event in links:
-        buckets.setdefault(event.commit_sha[:7].lower(), []).append(event)
-
     for ex in examples:
         ids = dict.fromkeys(ex.discussion_ids)  # insertion-ordered set
-        for event in buckets.get(ex.commit_sha[:7].lower(), ()):
-            ev_sha = event.commit_sha.lower()
-            ex_sha = ex.commit_sha.lower()
+        ex_sha = ex.commit_sha.lower()
+        for ev_sha, project, number in buckets.get(ex_sha[:7], ()):
             if not (ev_sha.startswith(ex_sha) or ex_sha.startswith(ev_sha)):
                 continue
-            if event.project != ex.project:
+            if project != ex.project:
                 continue
-            disc_id = by_key.get((event.project, event.issue_number))
+            disc_id = by_key.get((project, number))
             if disc_id is None:
                 log.warning(
                     "link for %s#%d matches example %s but no such discussion was mined",
-                    event.project,
-                    event.issue_number,
+                    project,
+                    number,
                     ex.id,
                 )
                 continue

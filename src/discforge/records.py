@@ -529,6 +529,20 @@ class Candidate(_Record):
 
 
 @dataclass(frozen=True)
+class Description(_Record):
+    """A solution description of one example, taken from one of its discussions."""
+
+    example_id: str
+    discussion_id: str
+    description_tokens: tuple[str, ...]
+
+    def __post_init__(self):
+        _check_str(self.example_id, "example_id")
+        _check_str(self.discussion_id, "discussion_id")
+        _set(self, "description_tokens", _check_tokens(self.description_tokens, "description_tokens"))
+
+
+@dataclass(frozen=True)
 class EvalReport:
     """Exact-match outcome of one candidate source against the references.
 

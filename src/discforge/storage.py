@@ -2,16 +2,17 @@
 
 Everything row-shaped is JSON Lines (one record per line, UTF-8, no ASCII
 escaping); attention traces are individual JSON documents because their
-weight matrices are large. Loaders re-validate every record through the
-dataclass constructors and report failures with the file, the line number
-and the offending field. Every writer puts its bytes beside the target and
-moves them onto it once they are complete (``replacing``).
+weight matrices are large. ``_iter_json`` reads every input file, and
+its errors read ``PATH: [line N: ][field 'f': ]message``; ``_iter_keyed``
+is the one duplicate-key rule. Every writer puts its bytes beside the
+target and moves them onto it once they are complete (``replacing``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import stat
 
@@ -20,28 +21,27 @@ from .records import (
     BugFixExample,
     Candidate,
     CommitLinkEvent,
+    Description,
     Discussion,
     RecordError,
-    _check_str,
-    _check_tokens,
 )
 
 
-def _iter_jsonl(path, parse):
-    """Yield parse(obj) for the JSON value on each non-blank line.
+def _iter_json(path, parse, *, lines=True):
+    """Yield parse(obj) for the JSON value on each non-blank line, or with lines=False for the one document.
 
     Invalid JSON and a RecordError from parse are re-raised naming the path
-    and the line; undecodable bytes name the path only, because the text
-    decoder reads ahead in blocks.
+    and, in JSON Lines, the line; undecodable bytes name the path only,
+    because the text decoder reads ahead in blocks.
     """
     with open(path, "r", encoding="utf-8") as f:
         lineno = None
         try:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
+            for lineno, text in enumerate(f, start=1) if lines else [(None, f.read())]:
+                if lines and not text.strip():
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(text)
                 except json.JSONDecodeError as exc:
                     raise RecordError(f"invalid JSON: {exc}") from None
                 yield parse(obj)
@@ -101,19 +101,7 @@ def iter_dataset(path):
     Each line is validated as it is read, and a duplicate id is rejected
     when it is reached, so a consumer holds one example at a time.
     """
-    first_at = {}
-
-    def parse(obj):
-        ex = BugFixExample.from_dict(obj)
-        if ex.id in first_at:
-            raise RecordError(
-                f"duplicate example id {ex.id!r} (first at record {first_at[ex.id]})",
-                field="id",
-            )
-        first_at[ex.id] = len(first_at) + 1
-        return ex
-
-    yield from _iter_jsonl(path, parse)
+    return _iter_keyed([path], BugFixExample.from_dict, "example id", "id")
 
 
 def load_dataset(path) -> list[BugFixExample]:
@@ -134,32 +122,32 @@ def input_files(path, suffixes=(".jsonl",)) -> list:
         return [path]
     files = sorted(os.path.join(path, n) for n in os.listdir(path) if n.endswith(suffixes))
     if not files:
-        raise RecordError(f"no {' or '.join(suffixes)} files under {path}")
+        raise RecordError(f"no {' or '.join(suffixes)} files", path=path)
     return files
 
 
-def _iter_keyed(files, read, from_dict, key, what):
-    """Yield the records `read(file, parse)` yields from each file, rejecting a key already yielded.
+def _iter_keyed(files, from_dict, what, *keys, lines=True):
+    """Yield the records _iter_json reads from each file, rejecting a key already yielded.
 
-    parse makes the rejection, so `read` names the file and line in the error.
+    A record's key is its `keys` field, or the tuple of them when there
+    are several. A repeat raises ``duplicate <what> <key> (first at record
+    N)``, N counting the records of all `files` in read order, naming the
+    last key field; parse makes the rejection, so _iter_json names the
+    file and line.
     """
-    seen = set()
+    key = operator.attrgetter(*keys)
+    first_at = {}
 
     def parse(obj):
         record = from_dict(obj)
-        k = getattr(record, key)
-        if k in seen:
-            raise RecordError(f"duplicate {what} {k!r}", field=key)
-        seen.add(k)
+        k = key(record)
+        if k in first_at:
+            raise RecordError(f"duplicate {what} {k!r} (first at record {first_at[k]})", field=keys[-1])
+        first_at[k] = len(first_at) + 1
         return record
 
     for f in files:
-        yield from read(f, parse)
-
-
-def _load_keyed(files, read, from_dict, key, what) -> dict:
-    """The records of _iter_keyed, in one dict by `key`."""
-    return {getattr(r, key): r for r in _iter_keyed(files, read, from_dict, key, what)}
+        yield from _iter_json(f, parse, lines=lines)
 
 
 def digest(path) -> str:
@@ -186,7 +174,7 @@ def iter_discussions(path):
 
     Each line is validated as it is read, and a duplicate id is rejected when it is reached.
     """
-    return _iter_keyed(input_files(path), _iter_jsonl, Discussion.from_dict, "id", "discussion id")
+    return _iter_keyed(input_files(path), Discussion.from_dict, "discussion id", "id")
 
 
 def load_discussions(path) -> dict[str, Discussion]:
@@ -199,22 +187,9 @@ def save_discussions(path, discussions) -> None:
     write_jsonl(path, (d.to_dict() for d in rows))
 
 
-def _iter_trace(path, parse):
-    """Yield parse(obj) for the one JSON document in an attention trace file; errors name the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise RecordError(f"invalid JSON in {path}: {exc}") from None
-    try:
-        yield parse(obj)
-    except RecordError as exc:
-        raise RecordError(f"trace {path}: {exc.message}", field=exc.field) from None
-
-
 def load_attention_trace(path) -> AttentionTrace:
     """Load and validate one attention trace JSON document."""
-    (trace,) = _iter_trace(path, AttentionTrace.from_dict)
+    (trace,) = _iter_json(path, AttentionTrace.from_dict, lines=False)
     return trace
 
 
@@ -226,13 +201,14 @@ def save_attention_trace(path, trace: AttentionTrace) -> None:
 def load_traces(path) -> dict[str, AttentionTrace]:
     """Load a trace file, or a directory's ``*.json`` trace files, keyed by example id."""
     files = input_files(path, (".json",))
-    return _load_keyed(files, _iter_trace, AttentionTrace.from_dict, "example_id", "trace for example")
+    traces = _iter_keyed(files, AttentionTrace.from_dict, "trace for example", "example_id", lines=False)
+    return {t.example_id: t for t in traces}
 
 
 def load_candidates(path) -> dict[str, Candidate]:
     """Load candidate fixes, one per example id, from a JSONL file or a directory of them."""
-    files = input_files(path)
-    return _load_keyed(files, _iter_jsonl, Candidate.from_dict, "example_id", "candidate for example")
+    candidates = _iter_keyed(input_files(path), Candidate.from_dict, "candidate for example", "example_id")
+    return {c.example_id: c for c in candidates}
 
 
 def save_candidates(path, candidates) -> None:
@@ -240,8 +216,13 @@ def save_candidates(path, candidates) -> None:
     write_jsonl(path, (c.to_dict() for c in rows))
 
 
+def iter_links(path):
+    """Yield the commit link events of a JSONL file, one line at a time."""
+    return _iter_json(path, CommitLinkEvent.from_dict)
+
+
 def load_links(path) -> list[CommitLinkEvent]:
-    return list(_iter_jsonl(path, CommitLinkEvent.from_dict))
+    return list(iter_links(path))
 
 
 def save_links(path, links) -> None:
@@ -249,34 +230,15 @@ def save_links(path, links) -> None:
 
 
 def load_descriptions(path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-    """Load solution descriptions.
+    """Load solution descriptions (Description rows).
 
-    Each row is {example_id, discussion_id, description_tokens}. Returns
-    example_id -> [(discussion_id, tokens), ...] preserving file order.
-    Several rows per example are allowed (one per discussion); the same
-    (example, discussion) pair twice is not.
+    Returns example_id -> [(discussion_id, tokens), ...] preserving file
+    order. Several rows per example are allowed (one per discussion); the
+    same (example, discussion) pair twice is not.
     """
-    seen_pairs = set()
-
-    def parse(obj):
-        if not isinstance(obj, dict):
-            raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
-        try:
-            ex_id = _check_str(obj["example_id"], "example_id")
-            disc_id = _check_str(obj["discussion_id"], "discussion_id")
-            tokens = _check_tokens(obj["description_tokens"], "description_tokens")
-        except KeyError as exc:
-            raise RecordError("missing", field=exc.args[0]) from None
-        if (ex_id, disc_id) in seen_pairs:
-            raise RecordError(
-                f"duplicate description for ({ex_id!r}, {disc_id!r})", field="discussion_id"
-            )
-        seen_pairs.add((ex_id, disc_id))
-        return ex_id, disc_id, tokens
-
     out = {}
-    for ex_id, disc_id, tokens in _iter_jsonl(path, parse):
-        out.setdefault(ex_id, []).append((disc_id, tokens))
+    for d in _iter_keyed([path], Description.from_dict, "description for", "example_id", "discussion_id"):
+        out.setdefault(d.example_id, []).append((d.discussion_id, d.description_tokens))
     return out
 
 

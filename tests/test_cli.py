@@ -520,7 +520,10 @@ class TestContext:
 
     @pytest.mark.parametrize(
         "weight, problem",
-        [(None, "NoneType"), ("abc", "could not convert string to float")],
+        [
+            (None, "float() argument must be a string or a real number, not 'NoneType'"),
+            ("abc", "could not convert string to float: 'abc'"),
+        ],
     )
     def test_bad_trace_weight_exits_2_naming_file_field_and_row(
         self, corpus, tmp_path, capsys, weight, problem
@@ -539,8 +542,7 @@ class TestContext:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: field 'weights': trace {path}: row 1 ")
-        assert problem in err
+        assert err == f"error: {path}: field 'weights': row 1 is not a list of numbers: {problem}\n"
         assert jsonl(run_log)[0]["exit_code"] == 2
 
     @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
@@ -712,7 +714,7 @@ class TestOracleEval:
         cdir.mkdir()
         (cdir / "a.json").write_bytes(corpus["cand_a"].read_bytes())
         assert main(["oracle-eval", "--refs", str(corpus["dataset"]), "--candidates", str(cdir)]) == 2
-        assert capsys.readouterr().err == f"error: no .jsonl files under {cdir}\n"
+        assert capsys.readouterr().err == f"error: {cdir}: no .jsonl files\n"
 
 
 class TestStats:
@@ -1086,6 +1088,18 @@ class TestOutputs:
         flag, path = ("--out", "fresh.out") if names == "--out" else (argv[i - 1], argv[i])
         message = f"{flag} and --run-log name the same file: {path}\n"
         self.fails_cleanly(toml4j, capsys, [*argv, "--run-log", path], message)
+
+    @pytest.mark.parametrize("out", ["mined", "fresh"])
+    @pytest.mark.parametrize("name", ["links.jsonl", "mine-report.json", "discussions/mwanji__toml4j.jsonl"])
+    def test_mine_run_log_naming_a_file_mine_writes_exits_2_and_changes_no_file(self, toml4j, capsys, out, name):
+        run_log = f"{out}/{name}"
+        message = f"--run-log {run_log}: mine writes this file under --out {out}\n"
+        self.fails_cleanly(toml4j, capsys, [*MINE_TOML4J, "--out", out, "--run-log", run_log], message)
+
+    def test_mine_run_log_elsewhere_under_its_out_gets_the_line(self, toml4j):
+        assert main([*MINE_TOML4J, "--out", "mined", "--run-log", "mined/runs.jsonl"]) == 0
+        (entry,) = jsonl(toml4j / "mined" / "runs.jsonl")
+        assert (entry["command"], entry["exit_code"]) == ("mine", 0)
 
     # Each case: the --run-log to add (None: make the first input missing instead), and the error.
     SWEEP = {

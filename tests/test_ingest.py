@@ -61,6 +61,24 @@ class TestArchive:
         with pytest.raises(RecordError, match="archive root"):
             RawIssueArchive(tmp_path / "missing")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"{oops", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+    )
+    def test_unparseable_issue_file_names_itself(self, tmp_path, data, message):
+        write_archive(tmp_path, "b/b", [raw_issue(1)])
+        path = tmp_path / "b__b" / "2.json"
+        path.write_bytes(data)
+        issues = RawIssueArchive(tmp_path).iter_issues("b/b")
+        assert next(issues)["number"] == 1
+        with pytest.raises(RecordError) as exc:
+            next(issues)
+        assert str(exc.value) == f"{path}: {message}"
+        assert (exc.value.path, exc.value.line, exc.value.field) == (str(path), None, None)
+
 
 class TestFetchIssuesArchive:
     def _fetch(self, tmp_path, issues, since="2014-05-01T00:00:00Z", until="2014-06-01T00:00:00Z"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 
 import pytest
@@ -165,7 +166,9 @@ def test_discussion_duplicate_id_across_files(tmp_path):
     storage.save_discussions(split_dir / "two.jsonl", [make_discussion(disc_id="x/y#2"), d])
     with pytest.raises(RecordError) as exc:
         storage.load_discussions(split_dir)
-    assert str(exc.value) == f"{split_dir / 'two.jsonl'}: line 2: field 'id': duplicate discussion id {d.id!r}"
+    assert str(exc.value) == (
+        f"{split_dir / 'two.jsonl'}: line 2: field 'id': duplicate discussion id {d.id!r} (first at record 1)"
+    )
 
 
 def _bad_discussion_inputs(tmp_path):
@@ -182,8 +185,8 @@ def _bad_discussion_inputs(tmp_path):
     row["issue_number"] = 0
     storage.write_jsonl(bad, [d1.to_dict(), row])
     return [
-        (one, f"{one}: line 3: field 'id': duplicate discussion id 'a/b#1'"),
-        (split_dir, f"{split_dir / 'b.jsonl'}: line 2: field 'id': duplicate discussion id 'a/b#1'"),
+        (one, f"{one}: line 3: field 'id': duplicate discussion id 'a/b#1' (first at record 1)"),
+        (split_dir, f"{split_dir / 'b.jsonl'}: line 2: field 'id': duplicate discussion id 'a/b#1' (first at record 1)"),
         (bad, f"{bad}: line 2: field 'issue_number': issue_number must be >= 1, got 0"),
     ]
 
@@ -222,13 +225,15 @@ def test_candidates_from_a_directory_reject_a_duplicate_across_files(tmp_path):
     with pytest.raises(RecordError) as exc:
         storage.load_candidates(tmp_path)
     assert str(exc.value) == (
-        f"{tmp_path / 'c.jsonl'}: line 2: field 'example_id': duplicate candidate for example 'e1'"
+        f"{tmp_path / 'c.jsonl'}: line 2: field 'example_id': duplicate candidate for example 'e1' (first at record 1)"
     )
 
 
 def test_empty_discussion_directory_errors(tmp_path):
-    with pytest.raises(RecordError, match="no .jsonl"):
+    with pytest.raises(RecordError) as exc:
         storage.load_discussions(tmp_path)
+    assert str(exc.value) == f"{tmp_path}: no .jsonl files"
+    assert exc.value.path == tmp_path
 
 
 def _trace(example_id="e1"):
@@ -259,7 +264,9 @@ def test_traces_duplicate_example(tmp_path):
     storage.save_attention_trace(tmp_path / "b.json", _trace("e1"))
     with pytest.raises(RecordError) as exc:
         storage.load_traces(tmp_path)
-    assert str(exc.value) == f"field 'example_id': trace {tmp_path / 'b.json'}: duplicate trace for example 'e1'"
+    assert str(exc.value) == (
+        f"{tmp_path / 'b.json'}: field 'example_id': duplicate trace for example 'e1' (first at record 1)"
+    )
 
 
 def test_directory_digest_covers_its_json_and_jsonl_files(tmp_path):
@@ -341,3 +348,71 @@ def test_descriptions_bad_token_keeps_line_and_field(tmp_path):
     ) as exc:
         storage.load_descriptions(path)
     assert (exc.value.line, exc.value.field) == (1, "description_tokens")
+
+
+def test_descriptions_null_field_reads_missing(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"example_id": null, "discussion_id": "d1", "description_tokens": ["x"]}\n', encoding="utf-8")
+    with pytest.raises(RecordError) as exc:
+        storage.load_descriptions(path)
+    assert str(exc.value) == f"{path}: line 1: field 'example_id': missing"
+
+
+def _desc(example_id, discussion_id):
+    return {"example_id": example_id, "discussion_id": discussion_id, "description_tokens": ["x"]}
+
+
+def _duplicate_input(kind, root):
+    """(loader, input path, file holding the duplicate, its line, field, message) for one keyed kind."""
+    root.mkdir()
+    if kind == "dataset":
+        path = root / "data.jsonl"
+        storage.save_dataset(path, [make_example(ex_id="e1"), make_example(ex_id="e2"), make_example(ex_id="e2")])
+        return storage.load_dataset, path, path, 3, "id", "duplicate example id 'e2' (first at record 2)"
+    if kind == "discussions":
+        d1, d2 = make_discussion(disc_id="a/b#1"), make_discussion(disc_id="a/b#2", number=2)
+        storage.save_discussions(root / "a.jsonl", [d1])
+        storage.save_discussions(root / "b.jsonl", [d2, d1])
+        return (storage.load_discussions, root, root / "b.jsonl", 2, "id",
+                "duplicate discussion id 'a/b#1' (first at record 1)")
+    if kind == "candidates":
+        storage.save_candidates(root / "a.jsonl", [Candidate("e1", ("x",), "m1"), Candidate("e2", ("y",), "m1")])
+        storage.save_candidates(root / "b.jsonl", [Candidate("e3", ("z",), "m2"), Candidate("e2", ("w",), "m2")])
+        return (storage.load_candidates, root, root / "b.jsonl", 2, "example_id",
+                "duplicate candidate for example 'e2' (first at record 2)")
+    if kind == "traces":
+        for name, example_id in (("a", "e1"), ("b", "e2"), ("c", "e1")):
+            storage.save_attention_trace(root / f"{name}.json", _trace(example_id))
+        return (storage.load_traces, root, root / "c.json", None, "example_id",
+                "duplicate trace for example 'e1' (first at record 1)")
+    path = root / "desc.jsonl"
+    storage.write_jsonl(path, [_desc("e1", "a#1"), _desc("e1", "b#2"), _desc("e2", "a#1"), _desc("e1", "b#2")])
+    return (storage.load_descriptions, path, path, 4, "discussion_id",
+            "duplicate description for ('e1', 'b#2') (first at record 2)")
+
+
+@pytest.mark.parametrize("kind", ["dataset", "discussions", "candidates", "traces", "descriptions"])
+def test_every_keyed_input_reports_a_duplicate_one_way(tmp_path, kind):
+    load, path, bad, line, field, message = _duplicate_input(kind, tmp_path / kind)
+    with pytest.raises(RecordError) as exc:
+        load(path)
+    where = f"{bad}: " + (f"line {line}: " if line else "")
+    assert str(exc.value) == f"{where}field {field!r}: {message}"
+    assert (os.fspath(exc.value.path), exc.value.line, exc.value.field) == (str(bad), line, field)
+
+
+@pytest.mark.parametrize(
+    "text, field, message",
+    [
+        ("{oops", None, "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"example_id": "e1"}', "num_input_tokens", "missing"),
+    ],
+)
+def test_a_bad_trace_file_names_itself(tmp_path, text, field, message):
+    path = tmp_path / "t.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(RecordError) as exc:
+        storage.load_traces(tmp_path)
+    where = f"field {field!r}: " if field else ""
+    assert str(exc.value) == f"{path}: {where}{message}"
+    assert (os.fspath(exc.value.path), exc.value.line, exc.value.field) == (str(path), None, field)

@@ -250,3 +250,63 @@ def test_link_memory_does_not_grow_with_the_discussion_text(tmp_path, capsys):
     capsys.readouterr()
     assert extra > 0
     assert peak_long - peak_short <= extra / 4, (peak_short, peak_long, extra)
+
+
+def test_link_memory_holds_a_key_per_link_not_its_record(tmp_path, capsys):
+    """link streams --links and keeps each event's sha, project and issue number.
+
+    With the same examples and discussions and 8 times the links, link's
+    traced peak may grow by at most three quarters of what load_links holds
+    for the extra links, measured on the same files (about 0.6 of it;
+    holding every record, as load_links does, takes more than all of it).
+    """
+    n = 500
+    small = write_corpus(tmp_path / "small", n_linked=n)
+    large = write_corpus(tmp_path / "large", n_linked=8 * n)
+    for name in ("examples.jsonl", "discussions.jsonl"):
+        assert (small / name).read_bytes() == (large / name).read_bytes()
+
+    def link(root):
+        argv, _, _ = command_argv("link", root, root)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+
+    def held(root):
+        base = tracemalloc.get_traced_memory()[0]
+        links = storage.load_links(root / "links.jsonl")
+        size = tracemalloc.get_traced_memory()[0] - base
+        assert len(links) in (n * 3 // 4, 8 * n * 3 // 4)
+        return size
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        link(small)  # warm-up: first-call caches and lazy imports
+        peak_small, peak_large = link(small), link(large)
+        extra = held(large) - held(small)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert extra > 0
+    assert peak_large - peak_small <= extra * 3 / 4, (peak_small, peak_large, extra)
+
+
+def test_link_reports_a_bad_links_then_discussions_then_examples_file(tmp_path, capsys):
+    root = write_corpus(tmp_path / "in")
+    argv, _, outs = command_argv("link", root, tmp_path)
+    names = ("links.jsonl", "discussions.jsonl", "examples.jsonl")
+    for name in names:
+        with (root / name).open("a", encoding="utf-8") as f:
+            f.write("{oops\n")
+    for name in names:
+        path = root / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {len(lines)}: invalid JSON: ")
+        assert not any(p.exists() for p in outs)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+    assert main(argv) == 0

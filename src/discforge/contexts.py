@@ -189,15 +189,11 @@ def extract_attended_segments(trace: AttentionTrace) -> list[Segment]:
     separator positions) contribute nothing. Segments come out ordered by
     the first step that hit them, without repeats.
     """
-    if not trace.weights:
-        return []
-    import numpy as np
-
-    winners = np.asarray(trace.weights, dtype=np.float64).argmax(axis=1)
     starts = [seg.token_start for seg in trace.segments]
     out = []
     seen = set()
-    for t in winners.tolist():
+    for row in trace.weights:
+        t = row.index(max(row))
         # Rightmost segment starting at or before t, if t falls inside it.
         idx = bisect.bisect_right(starts, t) - 1
         if idx < 0:

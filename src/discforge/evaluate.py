@@ -1,14 +1,17 @@
 """Evaluation: exact match, paired bootstrap significance, dataset stats.
 
-The bootstrap draws every resample from one PCG64 stream seeded with the
-given seed, in order: resample i takes the next sample_size indices, so it
-depends only on the seed, i, n and sample_size, and a run with more
-resamples begins with the same ones. All resample comparisons are done in
+The bootstrap draws every resample from one ``random.Random(seed)`` stream,
+in order: resample i takes the next two binomial draws, so it depends only
+on the seed, i, the outcome counts and sample_size, and a run with more
+resamples begins with the same ones. Python keeps ``random()``'s stream for
+a seed the same across versions. All resample comparisons are done in
 integer arithmetic, never floats.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import asdict, dataclass
 
 from .linking import prepare_discussions
@@ -61,6 +64,41 @@ class BootstrapResult:
         return {**asdict(self), "p_value": round(self.p_value, 4)}
 
 
+def _binomial(rng, n: int, p: float) -> int:
+    """One Bin(n, p) draw from rng: inversion when n*p < 10, BTRS otherwise.
+
+    BTRS is Hörmann's transformed rejection with squeeze (1993, "The
+    generation of binomial random variates", J. Statist. Comput. Simul. 46).
+    """
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    q = 1.0 - p
+    if n * p < 10:
+        u, k, f = rng.random(), 0, q**n
+        while u > f and k < n:  # rounding can leave u above the total mass
+            u -= f
+            k += 1
+            f *= (n - k + 1) * p / (k * q)
+        return k
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha, v_r = (2.83 + 5.1 / b) * spq, 0.92 - 4.2 / b
+    m = math.floor((n + 1) * p)
+    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    while True:
+        u, v = rng.random() - 0.5, rng.random()
+        us = 0.5 - abs(u)
+        k = math.floor((2 * a / us + b) * u + n * p + 0.5) if us > 0 else -1
+        if not 0 <= k <= n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        lhs = math.log(v * alpha / (a / (us * us) + b))
+        if lhs <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * math.log(p / q):
+            return k
+
+
 def paired_bootstrap(
     outcomes_a,
     outcomes_b,
@@ -79,24 +117,26 @@ def paired_bootstrap(
     seed must be an int >= 0, so the same call always gives the same p.
     n_jobs is accepted for compatibility and has no effect: the resamples
     run on one thread.
-    """
-    import numpy as np
 
-    a = np.asarray(list(outcomes_a), dtype=bool)
-    b = np.asarray(list(outcomes_b), dtype=bool)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(
-            f"outcome vectors must be aligned 1-d sequences, got {a.shape} vs {b.shape}"
-        )
-    n = int(a.size)
+    Each resample is two draws from one ``random.Random(seed)``, in order:
+    ``up ~ Bin(sample_size, plus/n)`` on examples only a matched, then
+    ``down ~ Bin(sample_size - up, minus/(n - plus))`` on those only b
+    matched. A run with more resamples begins with the same ones.
+    """
+    a = [bool(x) for x in outcomes_a]
+    b = [bool(x) for x in outcomes_b]
+    if len(a) != len(b):
+        raise ValueError(f"outcome vectors must be aligned, got {len(a)} vs {len(b)} outcomes")
+    n = len(a)
     if n == 0:
         raise ValueError("outcome vectors are empty")
     _check_int(n_samples, "n_samples", 1)
     _check_int(sample_size, "sample_size", 1)
     _check_int(seed, "seed", 0)
 
-    diff = a.astype(np.int64) - b.astype(np.int64)
-    D = int(diff.sum())
+    plus = sum(x and not y for x, y in zip(a, b))
+    minus = sum(y and not x for x, y in zip(a, b))
+    D = plus - minus
     delta = D / n
     if D < 0:
         raise ValueError(
@@ -109,11 +149,12 @@ def paired_bootstrap(
     # difference). Comparing Ds*n against 2*D*sample_size keeps everything
     # integral.
     threshold = 2 * D * sample_size
+    p_up, p_down = plus / n, (minus / (n - plus) if minus else 0.0)
     twice = 0
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = random.Random(seed)
     for _ in range(n_samples):
-        idx = rng.integers(0, n, size=sample_size)
-        ds = int(diff[idx].sum()) * n
+        up = _binomial(rng, sample_size, p_up)
+        ds = (up - _binomial(rng, sample_size - up, p_down)) * n
         if ds > threshold:
             twice += 2
         elif ds == threshold:
@@ -122,8 +163,8 @@ def paired_bootstrap(
     return BootstrapResult(
         p_value=twice / (2.0 * n_samples),
         delta=delta,
-        rate_a=round(100.0 * a.mean(), 1),
-        rate_b=round(100.0 * b.mean(), 1),
+        rate_a=round(100.0 * (sum(a) / n), 1),
+        rate_b=round(100.0 * (sum(b) / n), 1),
         n=n,
         n_samples=n_samples,
         sample_size=sample_size,

@@ -17,7 +17,6 @@ The transport is injectable for tests: any callable
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import os
 import re
@@ -31,7 +30,7 @@ from .records import (
     _check_int,
     normalize_timestamp,
 )
-from .storage import _iter_json, replacing, save_discussions, save_links
+from .storage import _iter_json, save_discussions, save_links, save_report
 
 log = logging.getLogger(__name__)
 
@@ -519,7 +518,5 @@ def mine_projects(
         all_links.extend(links)
 
     save_links(os.path.join(out_dir, _LINKS), all_links)
-    with replacing(os.path.join(out_dir, _REPORT)) as tmp:
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, ensure_ascii=False, indent=2)
+    save_report(os.path.join(out_dir, _REPORT), report.to_dict())
     return report

@@ -24,9 +24,9 @@ Loaded records are compact. Every token tuple holds interned strings, so
 equal tokens share one object across a corpus; the interned set is
 bounded by the vocabulary (CPython 3.12 never frees interned strings,
 3.11 and 3.13 do). ``AttentionTrace.weights`` is a tuple of
-``array('d')`` rows, which numpy reads through the buffer protocol. An
-array can be written in place, so those rows are the one exception to
-immutability: nothing in this package writes them, and callers must not.
+``array('d')`` rows. An array can be written in place, so those rows are
+the one exception to immutability: nothing in this package writes them,
+and callers must not.
 A trace cannot be hashed, as was already so whenever ``meta`` was set.
 """
 

@@ -75,17 +75,6 @@ def corpus(tmp_path):
     return paths
 
 
-def test_import_leaves_numpy_unloaded():
-    """Only compare and attended_segments load numpy, on first use."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(discforge.__file__)))
-    probe = "import sys, discforge, discforge.cli; print('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
-    )
-    assert out.stdout.strip() == "False"
-
-
 class TestTokenize:
     def test_code_mode(self, tmp_path):
         src = tmp_path / "in.txt"

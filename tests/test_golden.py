@@ -9,8 +9,9 @@ sha256 of every output file with ``tests/golden/digests.json``:
   perfbench's in-process fake tracker and linked through the CLI.
 
 Run-logs hold wall-clock times and are not written. ``compare``'s
-``p_value`` follows numpy's ``Generator.integers`` stream, so the digests
-record the numpy version they were made under.
+``p_value`` follows ``random.Random``'s stream, which Python keeps the same
+across versions for a seed, so the digests hold on any Python and need no
+third-party package: the toml4j case also runs with numpy blocked.
 
 A change meant to alter bytes regenerates the digests and says which files
 changed and why:
@@ -22,10 +23,10 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 
-import numpy as np
 import pytest
 
 from discforge import ingest
@@ -130,16 +131,29 @@ def digest_tree(top):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_digests(case, tmp_path, monkeypatch):
-    with open(GOLDEN, encoding="utf-8") as f:
-        golden = json.load(f)
-    if golden["numpy"] != np.__version__:
-        pytest.fail(
-            f"tests/golden/digests.json was recorded under numpy {golden['numpy']}, "
-            f"this run has numpy {np.__version__}; compare's p_value may differ"
-        )
     monkeypatch.chdir(tmp_path)
     CASES[case]()
-    got, want = digest_tree("out"), golden["cases"][case]
+    _assert_golden(case, digest_tree("out"))
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    """The toml4j case, compare and attended_segments included, with numpy blocked."""
+    src = os.path.join(os.path.dirname(HERE), "src")
+    probe = (
+        "import json, pathlib, sys; sys.modules['numpy'] = None; import test_golden; "
+        "test_golden.run_toml4j(); pathlib.Path('digests').write_text(json.dumps(test_golden.digest_tree('out')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, HERE])},
+    )
+    assert out.returncode == 0, out.stderr
+    _assert_golden("toml4j", json.loads((tmp_path / "digests").read_text(encoding="utf-8")))
+
+
+def _assert_golden(case, got):
+    with open(GOLDEN, encoding="utf-8") as f:
+        want = json.load(f)["cases"][case]
     changed = sorted(name for name in set(got) | set(want) if got.get(name) != want.get(name))
     assert not changed, f"{case}: bytes differ from tests/golden/digests.json in out/{', out/'.join(changed)}"
 
@@ -158,7 +172,7 @@ def main_update():
                 os.chdir(cwd)
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as f:
-        json.dump({"numpy": np.__version__, "cases": cases}, f, indent=1, sort_keys=True)
+        json.dump({"cases": cases}, f, indent=1, sort_keys=True)
         f.write("\n")
 
 

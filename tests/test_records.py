@@ -2,10 +2,7 @@
 
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from array import array
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -753,20 +750,3 @@ def test_loaded_examples_share_token_objects(tmp_path):
     for a, b in zip(first.buggy_tokens, second.buggy_tokens):
         assert a is b
     assert first.buggy_tokens[0] is second.method_tokens[0] is first.fixed_tokens[-1]
-
-
-def test_loading_traces_leaves_numpy_unloaded(tmp_path):
-    storage.save_attention_trace(
-        tmp_path / "t.json", AttentionTrace("e1", 2, (), ((0.5, 0.5), (0.25, 0.75)))
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(storage.__file__)))
-    probe = (
-        "import sys; from discforge import storage; "
-        f"t = storage.load_traces({str(tmp_path)!r}); "
-        "print(len(t['e1'].weights), 'numpy' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert out.stdout.split() == ["2", "False"]

@@ -5,8 +5,9 @@ its --fail-threshold allows (no other command exits 1); 2 for
 configuration, usage and input errors. A JSON file passed as --config
 (spelled out in full) supplies defaults for the chosen subcommand;
 explicit flags always win. Only `main` handles outputs: two that resolve
-to one file, or a --run-log naming an input or a file `mine` writes
-under --out, exit 2 before any read or write;
+to one file, a --run-log naming an input, a path naming an output's
+temp file, or a path naming a file `mine` writes under --out, exit 2
+before any read or write;
 it opens --run-log (one JSON line per run, fingerprinting the inputs)
 before the command runs, and writes the report of eval, compare,
 oracle-eval and stats with its `inputs`.
@@ -180,19 +181,28 @@ def _given(sp, args, flags):
 
 
 def _check_outputs(sp, args):
-    """Reject two outputs that resolve to one file, and a --run-log that names an input or a file mine writes.
+    """Reject two outputs that resolve to one file, a --run-log that names an input, and an output's temp file.
 
-    An output may replace an input; appending a run-log line to one would corrupt it.
+    An output may replace an input; appending a run-log line to one would
+    corrupt it, and an output's temp file (each but --run-log has one) is
+    overwritten, then moved or removed. For mine, any path that
+    ingest._replaces under its --out directory is rejected.
     """
+    given = _given(sp, args, _INPUTS) + _given(sp, args, _OUTPUTS)
+    temps = {} if args.command == "mine" else {
+        os.path.realpath(path + storage.TEMP_SUFFIX): f"{flag} {path}"
+        for flag, path in given if flag in _OUTPUTS and flag != "--run-log"
+    }
     seen = {}
-    for flag, path in _given(sp, args, _INPUTS) + _given(sp, args, _OUTPUTS):
+    for flag, path in given:
         real = os.path.realpath(path)
+        if real in temps:
+            raise ValueError(f"{flag} {path} is the temp file of {temps[real]}")
+        if args.command == "mine" and flag != "--out" and ingest._replaces(os.path.realpath(args.out), real):
+            raise ValueError(f"{flag} {path}: mine writes this file under --out {args.out}")
         if seen.get(real) in _OUTPUTS or (real in seen and flag == "--run-log"):
             raise ValueError(f"{seen[real]} and {flag} name the same file: {path}")
         seen[real] = flag
-    if args.command == "mine" and args.run_log:
-        if ingest._replaces(os.path.realpath(args.out), os.path.realpath(args.run_log)):
-            raise ValueError(f"--run-log {args.run_log}: mine writes this file under --out {args.out}")
 
 
 def _fingerprints(sp, args):
@@ -208,7 +218,7 @@ def _fingerprints(sp, args):
 def _cmd_mine(args) -> tuple[int, dict]:
     with open(args.projects, "r", encoding="utf-8") as f:
         try:
-            projects = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
+            projects = [name for ln in f if (name := ln.strip()) and not name.startswith("#")]
         except UnicodeDecodeError as exc:
             raise ValueError(f"--projects {args.projects}: {exc}") from None
     if not projects:

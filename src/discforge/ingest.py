@@ -30,7 +30,7 @@ from .records import (
     _check_int,
     normalize_timestamp,
 )
-from .storage import _iter_json, save_discussions, save_links, save_report
+from .storage import TEMP_SUFFIX, _iter_json, save_discussions, save_links, save_report
 
 log = logging.getLogger(__name__)
 
@@ -71,12 +71,13 @@ class MineReport:
 
 
 def _replaces(out_dir, path) -> bool:
-    """True for a resolved path that mine_projects may replace under the resolved out_dir.
+    """True for a resolved path that mine_projects may write under the resolved out_dir.
 
     That is its links or report file, or any .jsonl file in its discussions
-    directory, which a discussions loader would read.
+    directory, which a discussions loader would read, or the temp file
+    (storage.TEMP_SUFFIX) of one of these.
     """
-    rel = os.path.relpath(path, out_dir)
+    rel = os.path.relpath(path, out_dir).removesuffix(TEMP_SUFFIX)
     return rel in (_LINKS, _REPORT) or (os.path.dirname(rel) == _DISCUSSIONS and rel.endswith(".jsonl"))
 
 
@@ -191,6 +192,43 @@ def _pages(transport, url, params, headers, *, sleep):
         page += 1
 
 
+def _stamp(value):
+    """normalize_timestamp(value), or None for a value that is not a usable timestamp."""
+    try:
+        return normalize_timestamp(value)
+    except RecordError:
+        return None
+
+
+def _tracker_issues(transport, project, since, until, headers, sleep):
+    """Yield the items of the issues endpoint's pages, oldest first, always from page 1.
+
+    An object created at or after `until` is dropped, and no page is
+    requested after the first page that held one.
+    """
+    url = f"{API_ROOT}/repos/{project}/issues"
+    params = {"state": "all", "sort": "created", "direction": "asc", "since": since}
+    for items in _pages(transport, url, params, headers, sleep=sleep):
+        kept = [raw for raw in items if not isinstance(raw, dict) or (_stamp(raw.get("created_at")) or "") < until]
+        yield from kept
+        if len(kept) < len(items):
+            return
+
+
+def _with_comments(raw, transport, headers, sleep):
+    """A tracker issue with its comments as a list: an embedded list as is,
+    [] for a count of 0 or no comments_url, else every page of comments_url.
+    """
+    comments = raw.get("comments")
+    if isinstance(comments, list):
+        return raw
+    url = raw.get("comments_url")
+    if not url or (type(comments) is int and comments == 0):
+        return dict(raw, comments=[])
+    pages = _pages(transport, url, {}, headers, sleep=sleep)
+    return dict(raw, comments=[c for items in pages for c in items])
+
+
 def fetch_issues(
     project: str,
     since: str,
@@ -204,72 +242,37 @@ def fetch_issues(
 ):
     """Yield raw issue dicts for one project, created in [since, until).
 
-    Archive mode walks the dump; online mode pages the issues endpoint,
-    oldest first, always from page 1: no state carries over between calls.
-    Pull requests masquerading as issues are excluded. The window is
-    half-open: an issue created exactly at `until` is out.
+    The sources differ only in where raw issues come from: the archive, or
+    the tracker's issues pages (_tracker_issues), which drop items created
+    at or after `until` uncounted. One window rule applies to both: each
+    issue counts in ``issues_fetched``, a non-object or unparsable
+    created_at is a skipped issue, a pull request is excluded, and an
+    issue created exactly at `until` is out. An in-window tracker issue
+    gets its comments before it is yielded.
     """
     since = normalize_timestamp(since)
     until = normalize_timestamp(until)
     if until <= since:
         raise ValueError(f"empty window: since={since} until={until}")
     report = report if report is not None else MineReport()
-
-    def in_window(raw):
+    if archive is not None:
+        raws, complete = archive.iter_issues(project), None
+    else:
+        transport = transport or default_transport
+        headers = _auth_headers(token_env)
+        raws = _tracker_issues(transport, project, since, until, headers, sleep)
+        complete = lambda raw: _with_comments(raw, transport, headers, sleep)
+    for raw in raws:
         report.issues_fetched += 1
         if not isinstance(raw, dict):
             report.record_skip(project, None, f"expected a JSON object, got {type(raw).__name__}")
-            return False
-        if raw.get("pull_request") is not None:
+        elif raw.get("pull_request") is not None:
             report.pull_requests_excluded += 1
-            return False
-        try:
-            created = normalize_timestamp(raw.get("created_at"))
-        except RecordError:
+        elif (created := _stamp(raw.get("created_at"))) is None:
             report.record_skip(project, raw.get("number"), "bad created_at")
-            return False
-        if since <= created < until:
+        elif since <= created < until:
             report.issues_in_window += 1
-            return True
-        return False
-
-    if archive is not None:
-        for raw in archive.iter_issues(project):
-            if in_window(raw):
-                yield raw
-        return
-
-    transport = transport or default_transport
-    headers = _auth_headers(token_env)
-    url = f"{API_ROOT}/repos/{project}/issues"
-    params = {"state": "all", "sort": "created", "direction": "asc", "since": since}
-    for payload in _pages(transport, url, params, headers, sleep=sleep):
-        past_window = False
-        for raw in payload:
-            try:
-                created = normalize_timestamp(raw.get("created_at") if isinstance(raw, dict) else None)
-            except RecordError:
-                created = None
-            if created is not None and created >= until:
-                past_window = True
-                continue
-            if not in_window(raw):
-                continue
-            comments = raw.get("comments")
-            if type(comments) is int and comments == 0:
-                # the API's comment count: there is no list to fetch
-                raw = dict(raw, comments=[])
-            elif not isinstance(comments, list):
-                comments_url = raw.get("comments_url")
-                comment_pages = (
-                    _pages(transport, comments_url, {}, headers, sleep=sleep)
-                    if comments_url
-                    else ()
-                )
-                raw = dict(raw, comments=[c for items in comment_pages for c in items])
-            yield raw
-        if past_window:
-            break
+            yield complete(raw) if complete else raw
 
 
 def _author_of(raw) -> str:
@@ -375,14 +378,6 @@ def normalize_commits(commits):
     return out
 
 
-def _stamp(value):
-    """normalize_timestamp(value), or None for a value that is not a usable timestamp."""
-    try:
-        return normalize_timestamp(value)
-    except RecordError:
-        return None
-
-
 def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEvent]:
     """Find (issue, commit) associations for one project.
 
@@ -405,7 +400,7 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
         except RecordError:
             pass
     issue_created = {num: ts for num, raw in numbered if (ts := _stamp(raw.get("created_at")))}
-    events = []
+    events = {}
 
     def add(link_project, number, sha, ts, source):
         linked_at = ts or (issue_created.get(number) if link_project == project else None)
@@ -413,17 +408,13 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
             log.warning("dropping %s link %s#%s -> %s: no usable timestamp", source, link_project, number, sha)
             return
         try:
-            events.append(
-                CommitLinkEvent(
-                    project=link_project,
-                    issue_number=number,
-                    commit_sha=sha,
-                    linked_at=linked_at,
-                    link_source=source,
-                )
+            ev = CommitLinkEvent(
+                project=link_project, issue_number=number, commit_sha=sha, linked_at=linked_at, link_source=source
             )
         except RecordError as exc:
             log.warning("dropping malformed link %s#%s -> %s: %s", link_project, number, sha, exc)
+            return
+        events.setdefault((link_project, number, sha.lower(), source), ev)
 
     for sha, message, ts in commits:
         for m in _ISSUE_REF.finditer(message):
@@ -445,16 +436,7 @@ def extract_commit_links(project, commits, raw_issues=()) -> list[CommitLinkEven
             if ev.get("commit_id"):
                 add(project, number, ev["commit_id"], _stamp(ev.get("created_at")), "timeline_event")
 
-    seen = set()
-    unique = []
-    for ev in events:
-        key = (ev.project, ev.issue_number, ev.commit_sha.lower(), ev.link_source)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(ev)
-    unique.sort(key=lambda e: (e.project, e.issue_number, e.commit_sha, e.link_source))
-    return unique
+    return sorted(events.values(), key=lambda e: (e.project, e.issue_number, e.commit_sha, e.link_source))
 
 
 def mine_projects(
@@ -478,9 +460,11 @@ def mine_projects(
     written beside its target and then moved onto it, so a run that fails
     or is killed leaves every earlier file whole. Every project's commits
     are parsed first, before any request or write; a bad one raises
-    CommitsError naming the project. ``cursor_path`` is accepted and
+    CommitsError naming the project; a project name that is not
+    ``owner/name`` raises RecordError. ``cursor_path`` is accepted and
     ignored; it remains only for callers that still pass it.
     """
+    dirnames = {project: project_dirname(project) for project in projects}
     commit_records = {}
     for project, commits in (commits_by_project or {}).items():
         try:
@@ -512,7 +496,7 @@ def mine_projects(
                 discussions.append(normalize_issue(raw, project))
             except RecordError as exc:
                 report.record_skip(project, raw.get("number"), exc)
-        save_discussions(os.path.join(disc_dir, f"{project_dirname(project)}.jsonl"), discussions)
+        save_discussions(os.path.join(disc_dir, f"{dirnames[project]}.jsonl"), discussions)
         links = extract_commit_links(project, commit_records.get(project, []), raws)
         report.links_found += len(links)
         all_links.extend(links)

@@ -26,6 +26,8 @@ from .records import (
     RecordError,
 )
 
+TEMP_SUFFIX = ".tmp"  # replacing writes a target's new bytes to its path plus this suffix
+
 
 def _iter_json(path, parse, *, lines=True):
     """Yield parse(obj) for the JSON value on each non-blank line, or with lines=False for the one document.
@@ -58,7 +60,7 @@ def replacing(path):
     The bytes go to ``<path>.tmp`` in the same directory, which is moved
     onto `path` when the body completes and removed when it raises, so a
     failed run leaves an existing file as it was and creates no new one.
-    The ".tmp" suffix keeps a file left by a killed run out of the
+    The TEMP_SUFFIX keeps a file left by a killed run out of the
     loaders' ``*.jsonl`` and ``*.json`` globs. A target that exists and is
     not a regular file (a symlink such as ``/dev/stdout``, or a pipe) is
     written in place.
@@ -70,7 +72,7 @@ def replacing(path):
     if in_place:
         yield path
         return
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = f"{os.fspath(path)}{TEMP_SUFFIX}"
     try:
         yield tmp
         os.replace(tmp, path)

@@ -247,8 +247,14 @@ class TestMine:
             ),
             # a project the run does not mine is checked too
             (json.dumps({"demo/proj": [], "other/proj": 5}), "project other/proj: expected a list of commits"),
+            ("[]", "expected a JSON object keyed by project"),
+            (
+                json.dumps({"demo/proj": [{"sha": 5, "message": "fixes #18"}]}),
+                "project demo/proj: entry 0: field 'sha': expected a non-empty string, got 5",
+            ),
         ],
-        ids=["invalid-json", "not-utf8", "missing-sha", "mapping-value", "message-type", "bad-timestamp", "other-project"],
+        ids=["invalid-json", "not-utf8", "missing-sha", "mapping-value", "message-type", "bad-timestamp",
+             "other-project", "not-an-object", "sha-type"],
     )
     def test_bad_commits_exit_2_before_any_request_or_write(
         self, tmp_path, capsys, monkeypatch, content, problem
@@ -271,6 +277,44 @@ class TestMine:
         assert err.startswith(f"error: --commits {commits}: ") and problem in err
         assert "Traceback" not in err
         assert requests == [] and not out.exists()
+
+    @pytest.mark.parametrize("source", ["archive", "tracker"])
+    def test_bad_project_name_exits_2_before_any_request_or_write(self, tmp_path, capsys, monkeypatch, source):
+        projects, _ = self._write_archive(tmp_path)
+        projects.write_text("demo/proj\nproj\n", encoding="utf-8")
+        requests = []
+        monkeypatch.setenv("MINE_TOKEN", "t")
+        monkeypatch.setattr(
+            ingest, "default_transport", lambda *call: requests.append(call) or (200, {}, [])
+        )
+        out = tmp_path / "o"
+        flag = ["--archive", str(tmp_path / "arc")] if source == "archive" else ["--token-env", "MINE_TOKEN"]
+        code = main([
+            "mine", "--projects", str(projects),
+            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z", *flag, "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: project must look like owner/name, got 'proj'\n"
+        assert requests == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "listing, want",
+        [("  # a note\ndemo/proj\n\t#demo/other\n", 0), ("# nothing yet\n\n   \n", None)],
+        ids=["comments", "no-project"],
+    )
+    def test_projects_file_skips_comment_lines(self, tmp_path, capsys, listing, want):
+        projects, _ = self._write_archive(tmp_path)
+        projects.write_text(listing, encoding="utf-8")
+        code = main([
+            "mine", "--projects", str(projects), "--fail-threshold", "1",
+            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z",
+            "--archive", str(tmp_path / "arc"), "--out", str(tmp_path / "o"),
+        ])
+        out, err = capsys.readouterr()
+        if want is None:
+            assert (code, err) == (2, f"error: --projects {projects}: no projects listed\n")
+        else:
+            assert (code, out) == (0, "mined 2 issues from 1 projects (1 skipped, 0 links)\n")
 
     def test_commits_mapping_of_messages_links(self, tmp_path):
         projects, commits = self._write_archive(tmp_path)
@@ -644,6 +688,16 @@ class TestCompare:
         ]) == 0
         assert json.loads(out.read_text())["n"] == 1
 
+    def test_shared_only_with_no_shared_example_exits_2(self, corpus, tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        storage.save_candidates(other, [Candidate("e9", ("fix", ";"), "p")])
+        assert main([
+            "compare", "--refs", str(corpus["dataset"]), "--a", str(corpus["cand_a"]), "--b", str(other),
+            "--shared-only", "--out", str(tmp_path / "cmp.json"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: --shared-only left no examples to compare\n"
+        assert not (tmp_path / "cmp.json").exists()
+
     def test_jobs_accepted_without_effect(self, corpus, tmp_path):
         config = tmp_path / "jobs.json"
         config.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
@@ -740,6 +794,23 @@ class TestConfigAndRunLog:
         ])
         lengths = [len(r["input_tokens"]) for r in jsonl(out)]
         assert max(lengths) > 4 and max(lengths) <= 9
+
+    def test_config_spelled_with_equals_is_read(self, corpus, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"repr": "from-config"}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main([
+            "eval", f"--config={cfg}", "--refs", str(corpus["dataset"]),
+            "--candidates", str(corpus["cand_a"]), "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["representation"] == "from-config"
+
+    def test_config_that_is_not_an_object_is_config_error(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]", encoding="utf-8")
+        assert main(["stats", "--config", str(cfg), "--dataset", str(corpus["dataset"]),
+                     "--discussions", str(corpus["discussions"])]) == 2
+        assert capsys.readouterr().err == f"error: --config {cfg}: expected a JSON object\n"
 
     def test_config_unknown_key_is_config_error(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1079,11 +1150,41 @@ class TestOutputs:
         self.fails_cleanly(toml4j, capsys, [*argv, "--run-log", path], message)
 
     @pytest.mark.parametrize("out", ["mined", "fresh"])
-    @pytest.mark.parametrize("name", ["links.jsonl", "mine-report.json", "discussions/mwanji__toml4j.jsonl"])
+    @pytest.mark.parametrize("name", ["links.jsonl", "mine-report.json", "discussions/mwanji__toml4j.jsonl",
+                                      "mine-report.json.tmp", "discussions/mwanji__toml4j.jsonl.tmp"])
     def test_mine_run_log_naming_a_file_mine_writes_exits_2_and_changes_no_file(self, toml4j, capsys, out, name):
         run_log = f"{out}/{name}"
         message = f"--run-log {run_log}: mine writes this file under --out {out}\n"
         self.fails_cleanly(toml4j, capsys, [*MINE_TOML4J, "--out", out, "--run-log", run_log], message)
+
+    # Each case: the files to make beside the fixture, the argv, and the error. Unchecked, each would
+    # exit 0 and lose a file: the output's temp file overwrites the other path, then is moved or removed.
+    TEMP_CASES = {
+        "input": (
+            ["t.txt.tmp", "t.txt"], ["tokenize", "--mode", "code", "--in", "t.txt.tmp", "--out", "t.txt"],
+            "--in t.txt.tmp is the temp file of --out t.txt",
+        ),
+        "run-log": (
+            ["u.txt"], ["tokenize", "--mode", "code", "--in", "u.txt", "--out", "v.jsonl", "--run-log", "v.jsonl.tmp"],
+            "--run-log v.jsonl.tmp is the temp file of --out v.jsonl",
+        ),
+        "other output": (
+            [], ["context", *DATASET, "--repr", "without_nl", "--out", "w.jsonl", "--skipped", "w.jsonl.tmp"],
+            "--skipped w.jsonl.tmp is the temp file of --out w.jsonl",
+        ),
+        "mine input": (
+            ["mined/links.jsonl.tmp"],
+            [*MINE_TOML4J[:4], "mined/links.jsonl.tmp", *MINE_TOML4J[5:], "--out", "mined"],
+            "--commits mined/links.jsonl.tmp: mine writes this file under --out mined",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(TEMP_CASES))
+    def test_a_path_that_is_an_outputs_temp_file_exits_2_and_changes_no_file(self, toml4j, capsys, case):
+        names, argv, message = self.TEMP_CASES[case]
+        for name in names:
+            shutil.copy(toml4j / "in" / "commits.json", toml4j / name)
+        self.fails_cleanly(toml4j, capsys, argv, message + "\n")
 
     def test_mine_run_log_elsewhere_under_its_out_gets_the_line(self, toml4j):
         assert main([*MINE_TOML4J, "--out", "mined", "--run-log", "mined/runs.jsonl"]) == 0

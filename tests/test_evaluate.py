@@ -57,6 +57,10 @@ class TestCorpusExactMatch:
         assert report.per_example == {"e1": True, "e2": False, "e3": False}
         assert report.representation == "title"
 
+    def test_no_examples_rate_zero(self):
+        report = corpus_exact_match([], {"e1": cand("e1", ("int", "x", ";"))})
+        assert (report.n, report.exact_match_rate) == (0, 0.0)
+
     def test_raw_strings_retokenizes(self):
         candidates = {"e1": cand("e1", ("int x;",))}
         strict = corpus_exact_match(self.examples, candidates)

@@ -4,14 +4,19 @@ import json
 import os
 import random
 import re
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from discforge import ingest
 from discforge.ingest import (
+    API_ROOT,
     MineReport,
     RawIssueArchive,
+    _auth_headers,
+    _pages,
+    default_transport,
     extract_commit_links,
     fetch_issues,
     mine_projects,
@@ -19,7 +24,7 @@ from discforge.ingest import (
     normalize_issue,
     project_dirname,
 )
-from discforge.records import CommitLinkEvent, Discussion, RecordError
+from discforge.records import CommitLinkEvent, Discussion, RecordError, normalize_timestamp
 
 TOML4J_ARCHIVE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "toml4j", "archive")
 
@@ -139,14 +144,15 @@ def full_page(first):
 
 
 class PagedTransport:
-    """Serves each URL's item list in full pages of 100; counts requests."""
+    """Serves each URL's item list in full pages of ingest.PER_PAGE; counts requests."""
 
     def __init__(self, items_by_url):
         self.items_by_url = items_by_url
         self.calls = []
 
     def serve(self, url, page):
-        return self.items_by_url.get(url, [])[(page - 1) * 100:page * 100]
+        per = ingest.PER_PAGE
+        return self.items_by_url.get(url, [])[(page - 1) * per:page * per]
 
     def __call__(self, url, params, headers):
         self.calls.append((url, dict(params)))
@@ -166,6 +172,7 @@ def reference_pages_until_empty(transport, url):
 
 ISSUES_URL = f"{ingest.API_ROOT}/repos/p/q/issues"
 COMMENTS_URL = "https://api.example/comments/1"
+SINCE, UNTIL = "2014-05-01T00:00:00Z", "2014-06-01T00:00:00Z"
 _PAGINATION_SIZES = [0, 99, 100, 101, 200] + random.Random(20141).sample(range(351), 20)
 
 
@@ -313,6 +320,16 @@ class TestFetchIssuesOnline:
         assert [i["number"] for i in got] == [1]
         assert len(slept) == 1 and slept[0] >= 1.0
 
+    def test_unparsable_rate_limit_reset_waits_60_seconds(self):
+        transport = FakeTransport([
+            (429, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "soon"}, None),
+            (200, {}, [raw_issue(1)]),
+        ])
+        slept = []
+        got = list(fetch_issues("p/q", SINCE, UNTIL, transport=transport, sleep=slept.append))
+        assert [i["number"] for i in got] == [1]
+        assert slept == [60.0]
+
     def test_hard_client_error_raises(self):
         transport = FakeTransport([(404, {}, None)])
         with pytest.raises(RuntimeError, match="404"):
@@ -382,6 +399,181 @@ class TestFetchIssuesOnline:
             )
 
 
+# fetch_issues as it was when archive and tracker issues each had their own
+# loop, kept verbatim (but for its name) as the oracle for the one-loop version.
+def reference_fetch_issues(
+    project: str,
+    since: str,
+    until: str,
+    *,
+    archive: RawIssueArchive | None = None,
+    token_env: str | None = None,
+    transport=None,
+    report: MineReport | None = None,
+    sleep=time.sleep,
+):
+    """Yield raw issue dicts for one project, created in [since, until).
+
+    Archive mode walks the dump; online mode pages the issues endpoint,
+    oldest first, always from page 1: no state carries over between calls.
+    Pull requests masquerading as issues are excluded. The window is
+    half-open: an issue created exactly at `until` is out.
+    """
+    since = normalize_timestamp(since)
+    until = normalize_timestamp(until)
+    if until <= since:
+        raise ValueError(f"empty window: since={since} until={until}")
+    report = report if report is not None else MineReport()
+
+    def in_window(raw):
+        report.issues_fetched += 1
+        if not isinstance(raw, dict):
+            report.record_skip(project, None, f"expected a JSON object, got {type(raw).__name__}")
+            return False
+        if raw.get("pull_request") is not None:
+            report.pull_requests_excluded += 1
+            return False
+        try:
+            created = normalize_timestamp(raw.get("created_at"))
+        except RecordError:
+            report.record_skip(project, raw.get("number"), "bad created_at")
+            return False
+        if since <= created < until:
+            report.issues_in_window += 1
+            return True
+        return False
+
+    if archive is not None:
+        for raw in archive.iter_issues(project):
+            if in_window(raw):
+                yield raw
+        return
+
+    transport = transport or default_transport
+    headers = _auth_headers(token_env)
+    url = f"{API_ROOT}/repos/{project}/issues"
+    params = {"state": "all", "sort": "created", "direction": "asc", "since": since}
+    for payload in _pages(transport, url, params, headers, sleep=sleep):
+        past_window = False
+        for raw in payload:
+            try:
+                created = normalize_timestamp(raw.get("created_at") if isinstance(raw, dict) else None)
+            except RecordError:
+                created = None
+            if created is not None and created >= until:
+                past_window = True
+                continue
+            if not in_window(raw):
+                continue
+            comments = raw.get("comments")
+            if type(comments) is int and comments == 0:
+                # the API's comment count: there is no list to fetch
+                raw = dict(raw, comments=[])
+            elif not isinstance(comments, list):
+                comments_url = raw.get("comments_url")
+                comment_pages = (
+                    _pages(transport, comments_url, {}, headers, sleep=sleep)
+                    if comments_url
+                    else ()
+                )
+                raw = dict(raw, comments=[c for items in comment_pages for c in items])
+            yield raw
+        if past_window:
+            break
+
+
+# created_at values by where they fall; "at until" spells `until` two ways.
+CREATED = {
+    "in window": [SINCE, "2014-05-15T12:00:00Z", "2014-05-31T23:59:59Z", "2014-05-20T10:00:00+02:00"],
+    "before since": ["2014-04-30T23:59:59Z", "2013-01-01T00:00:00Z"],
+    "at until": ["2014-06-01T00:00:00Z", "2014-06-01T02:00:00+02:00"],
+    "past until": ["2014-06-01T00:00:01Z", "2015-01-01T00:00:00Z"],
+    "unparsable": ["not a date", "", 5, None],
+}
+
+
+def random_issues(rng, comment_pages):
+    """A shuffled mix of every kind of item a page or an archive can hold.
+
+    Each comments_url given is entered in comment_pages with its own random comments.
+    """
+    items = []
+    for number in range(1, rng.randint(0, 12) + 1):
+        if rng.random() < 0.1:
+            items.append(rng.choice([[1, 2], "x", 3, None]))
+            continue
+        raw = raw_issue(number)
+        kind = rng.choice([*CREATED, "absent"])
+        if kind == "absent":
+            del raw["created_at"]
+        else:
+            raw["created_at"] = rng.choice(CREATED[kind])
+        if rng.random() < 0.2:
+            raw["pull_request"] = rng.choice([{"url": "x"}, None])
+        comments = rng.choice(["absent", "0", "n", "list", "not a count"])
+        if comments == "absent":
+            del raw["comments"]
+        else:
+            raw["comments"] = {
+                "0": 0,
+                "n": rng.randint(1, 9),
+                "list": [{"body": "embedded", "created_at": SINCE}],
+                "not a count": rng.choice([False, 0.0, "2"]),
+            }[comments]
+        if rng.random() < 0.6:
+            raw["comments_url"] = f"https://api.example/comments/{number}"
+            comment_pages[raw["comments_url"]] = [{"body": f"c{i}"} for i in range(rng.randint(0, 9))]
+        items.append(raw)
+    rng.shuffle(items)
+    return items
+
+
+class ListArchive:
+    """Stands in for RawIssueArchive, yielding the given items as if read from its files."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def iter_issues(self, project):
+        yield from self.items
+
+
+class LoggingTransport(PagedTransport):
+    """PagedTransport that enters each request's (url, page) in a shared event log."""
+
+    def __init__(self, items_by_url, events):
+        super().__init__(items_by_url)
+        self.events = events
+
+    def __call__(self, url, params, headers):
+        self.events.append(("request", url, params["page"]))
+        return super().__call__(url, params, headers)
+
+
+def run_fetch(fetch, items, comment_pages, online):
+    """Each request and each yielded issue in order, and the report, of one fetch over these inputs."""
+    events, report = [], MineReport()
+    source = (
+        {"transport": LoggingTransport({ISSUES_URL: items, **comment_pages}, events)}
+        if online else {"archive": ListArchive(items)}
+    )
+    for raw in fetch("p/q", SINCE, UNTIL, report=report, sleep=lambda s: None, **source):
+        events.append(("yield", raw))
+    return events, report.to_dict()
+
+
+class TestFetchIssuesOracle:
+    @pytest.mark.parametrize("online", [False, True], ids=["archive", "tracker"])
+    def test_matches_the_two_loop_version_on_random_inputs(self, monkeypatch, online):
+        monkeypatch.setattr(ingest, "PER_PAGE", 3)
+        for seed in range(300):
+            rng = random.Random(seed)
+            comment_pages = {}
+            items = random_issues(rng, comment_pages)
+            got = run_fetch(fetch_issues, items, comment_pages, online)
+            assert got == run_fetch(reference_fetch_issues, items, comment_pages, online), seed
+
+
 class TestNormalizeIssue:
     def test_body_becomes_utterance_zero(self):
         d = normalize_issue(raw_issue(18), "p/q")
@@ -416,6 +608,14 @@ class TestNormalizeIssue:
     def test_blank_comments_dropped(self):
         issue = raw_issue(1, comments=[{"body": "", "created_at": "2014-05-02T10:00:00Z"}])
         assert len(normalize_issue(issue, "p/q").utterances) == 1
+
+    def test_author_string_stands_in_for_a_missing_user(self):
+        comments = [
+            {"author": "dave", "body": "hi", "created_at": "2014-05-02T10:00:00Z"},
+            {"user": {"login": ""}, "body": "anonymous", "created_at": "2014-05-03T10:00:00Z"},
+        ]
+        d = normalize_issue(raw_issue(1, user=None, author="carol", comments=comments), "p/q")
+        assert [u.author for u in d.utterances] == ["carol", "dave", ""]
 
     def test_missing_title_rejected(self):
         with pytest.raises(RecordError, match="title"):
@@ -516,6 +716,25 @@ class TestExtractCommitLinks:
         links = commit_links("p/q", commits, [issue])
         assert len(links) == 2
         assert {ln.link_source for ln in links} == {"message_reference", "timeline_event"}
+
+    @pytest.mark.parametrize(
+        "commit, timeline, warning",
+        [
+            ({"sha": SHA1, "message": "see #0", "timestamp": SINCE}, [],
+             f"dropping malformed link p/q#0 -> {SHA1}"),
+            (
+                {"sha": SHA1, "message": "no reference", "timestamp": SINCE},
+                [{"event": "closed", "commit_id": "not-hex!", "created_at": SINCE}],
+                "dropping malformed link p/q#1 -> not-hex!",
+            ),
+        ],
+        ids=["issue-0", "non-hex-commit-id"],
+    )
+    def test_malformed_link_is_dropped_with_a_warning(self, caplog, commit, timeline, warning):
+        with caplog.at_level("WARNING", logger="discforge.ingest"):
+            links = commit_links("p/q", [commit], [raw_issue(1, timeline=timeline)])
+        assert links == []
+        assert any(r.getMessage().startswith(warning) for r in caplog.records)
 
     def test_mapping_form_of_commits(self):
         links = commit_links(

@@ -301,6 +301,10 @@ class TestAttentionTrace:
         with pytest.raises(RecordError, match="past"):
             _trace([[0.25] * 4], segments=segs)
 
+    def test_meta_must_be_an_object(self):
+        with pytest.raises(RecordError, match="meta must be a JSON object"):
+            AttentionTrace.from_dict({**_trace([[1.0]]).to_dict(), "meta": ["mean"]})
+
     def test_round_trip(self):
         t = _trace([[0.5, 0.25, 0.25]], segments=[Segment(0, "title", "a#1", None, 1, 3)])
         assert AttentionTrace.from_dict(t.to_dict()) == t

@@ -5,9 +5,9 @@ its --fail-threshold allows (no other command exits 1); 2 for
 configuration, usage and input errors. A JSON file passed as --config
 (spelled out in full) supplies defaults for the chosen subcommand;
 explicit flags always win. Only `main` handles outputs: two that resolve
-to one file, a --run-log naming an input, a path naming an output's
-temp file, or a path naming a file `mine` writes under --out, exit 2
-before any read or write;
+to one file, a --run-log naming an input or a .json/.jsonl file in a
+directory input, a path naming an output's temp file, or a path naming a
+file `mine` writes under --out, exit 2 before any read or write;
 it opens --run-log (one JSON line per run, fingerprinting the inputs)
 before the command runs, and writes the report of eval, compare,
 oracle-eval and stats with its `inputs`.
@@ -65,13 +65,6 @@ _OUTPUTS = {
     "--skipped": {"help": "where to record skipped examples and why"},
     "--run-log": {"help": "append a machine-readable JSON line describing this run"},
 }
-# Report commands, with the keys of the report their run-log line carries (None: all).
-_REPORTS = {
-    "eval": ("exact_match_rate", "n", "inputs"),
-    "compare": None,
-    "oracle-eval": ("best_exact_match_rate", "inputs"),
-    "stats": ("overall", "inputs"),
-}
 
 
 def build_parser():
@@ -82,16 +75,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sub_by_name = {}
 
-    def command(name, *flags, **kwargs):
+    # `run(args)` runs the command; a report command's `report` names its run-log line's keys (() for all).
+    def command(name, run, *flags, report=None, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         for flag in ("--config", "--out", *flags, "--run-log"):
-            required = flag == "--out" and name not in _REPORTS
+            required = flag == "--out" and report is None
             sp.add_argument(flag, **{"required": required, **_INPUTS.get(flag, _OUTPUTS.get(flag))})
         sp.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+        sp.set_defaults(run=run, report=report)
         sub_by_name[name] = sp
         return sp
 
-    sp = command("mine", "--projects", "--commits", help="fetch issue discussions and commit links")
+    sp = command("mine", _cmd_mine, "--projects", "--commits", help="fetch issue discussions and commit links")
     sp.add_argument("--since", required=True, help="window start, ISO-8601 (inclusive)")
     sp.add_argument("--until", required=True, help="window end, ISO-8601 (exclusive)")
     src = sp.add_mutually_exclusive_group(required=True)
@@ -104,27 +99,30 @@ def build_parser():
         help="tolerate up to this many skipped issues before exiting 1",
     )
 
-    command("link", "--examples", "--links", "--discussions", "--dropped",
+    command("link", _cmd_link, "--examples", "--links", "--discussions", "--dropped",
             help="attach mined discussions to bug-fix examples")
 
-    sp = command("tokenize", "--in", help="tokenize text lines from a file")
+    sp = command("tokenize", _cmd_tokenize, "--in", help="tokenize text lines from a file")
     sp.add_argument("--mode", choices=("code", "subtoken"), required=True)
 
     sp = command(
-        "context", "--dataset", "--discussions", "--desc", "--traces", "--skipped",
+        "context", _cmd_context, "--dataset", "--discussions", "--desc", "--traces", "--skipped",
         help="render model-input contexts for a dataset",
     )
     sp.add_argument("--repr", choices=CONTEXT_KINDS, required=True)
     sp.add_argument("--limit", type=int, default=1024, help="token budget per context")
 
-    sp = command("segments", "--dataset", "--discussions", help="render one context per discussion segment")
+    sp = command("segments", _cmd_segments, "--dataset", "--discussions",
+                 help="render one context per discussion segment")
     sp.add_argument("--limit", type=int, default=1024)
 
-    sp = command("eval", "--refs", "--candidates", help="exact-match rate of one candidate set")
+    sp = command("eval", _cmd_eval, "--refs", "--candidates", report=("exact_match_rate", "n", "inputs"),
+                 help="exact-match rate of one candidate set")
     sp.add_argument("--repr", default="", help="label for the report")
     sp.add_argument("--raw-strings", action="store_true", help="re-tokenize candidates before comparing")
 
-    sp = command("compare", "--refs", "--a", "--b", help="paired bootstrap significance of a vs b")
+    sp = command("compare", _cmd_compare, "--refs", "--a", "--b", report=(),
+                 help="paired bootstrap significance of a vs b")
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--size", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
@@ -140,9 +138,11 @@ def build_parser():
         help="compare only examples where both sources produced a candidate",
     )
 
-    command("oracle-eval", "--refs", "--candidates", help="best exact match over several candidate sets")
+    command("oracle-eval", _cmd_oracle_eval, "--refs", "--candidates", report=("best_exact_match_rate", "inputs"),
+            help="best exact match over several candidate sets")
 
-    command("stats", "--dataset", "--discussions", "--desc", help="corpus summary statistics")
+    command("stats", _cmd_stats, "--dataset", "--discussions", "--desc", report=("overall", "inputs"),
+            help="corpus summary statistics")
 
     return parser, sub_by_name
 
@@ -185,10 +185,18 @@ def _check_outputs(sp, args):
 
     An output may replace an input; appending a run-log line to one would
     corrupt it, and an output's temp file (each but --run-log has one) is
-    overwritten, then moved or removed. For mine, any path that
-    ingest._replaces under its --out directory is rejected.
+    overwritten, then moved or removed. A --run-log is opened before the
+    command reads, so one that a directory input would list (a .json or
+    .jsonl file in it, as storage.digest counts) is rejected too. For mine,
+    any path that ingest._replaces under its --out directory is rejected.
     """
-    given = _given(sp, args, _INPUTS) + _given(sp, args, _OUTPUTS)
+    inputs = _given(sp, args, _INPUTS)
+    given = inputs + _given(sp, args, _OUTPUTS)
+    if args.run_log and args.run_log.endswith((".json", ".jsonl")):
+        parent = os.path.realpath(os.path.dirname(os.path.abspath(args.run_log)))
+        for flag, path in inputs:
+            if os.path.isdir(path) and os.path.realpath(path) == parent:
+                raise ValueError(f"--run-log {args.run_log}: {flag} {path} would read this file")
     temps = {} if args.command == "mine" else {
         os.path.realpath(path + storage.TEMP_SUFFIX): f"{flag} {path}"
         for flag, path in given if flag in _OUTPUTS and flag != "--run-log"
@@ -210,12 +218,14 @@ def _fingerprints(sp, args):
 
     A path that does not exist is left to the command, which reports it.
     """
-    if not (args.run_log or args.command in _REPORTS and args.out):
+    if not (args.run_log or args.report is not None and args.out):
         return None
     return {p: storage.digest(p) for _, p in _given(sp, args, _INPUTS) if os.path.exists(p)}
 
 
 def _cmd_mine(args) -> tuple[int, dict]:
+    if args.fail_threshold < 0:
+        raise ValueError(f"--fail-threshold must be >= 0, got {args.fail_threshold}")
     with open(args.projects, "r", encoding="utf-8") as f:
         try:
             projects = [name for ln in f if (name := ln.strip()) and not name.startswith("#")]
@@ -406,19 +416,6 @@ def _cmd_stats(args) -> tuple[int, dict]:
     return 0, report
 
 
-_HANDLERS = {
-    "mine": _cmd_mine,
-    "link": _cmd_link,
-    "tokenize": _cmd_tokenize,
-    "context": _cmd_context,
-    "segments": _cmd_segments,
-    "eval": _cmd_eval,
-    "compare": _cmd_compare,
-    "oracle-eval": _cmd_oracle_eval,
-    "stats": _cmd_stats,
-}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, sub_by_name = build_parser()
@@ -441,12 +438,12 @@ def main(argv=None) -> int:
         try:
             # Taken before the command writes, so an output that replaces an input is not fingerprinted.
             inputs = _fingerprints(sp, args)
-            code, details = _HANDLERS[args.command](args)
+            code, details = args.run(args)
             details["inputs"] = inputs
-            if args.command in _REPORTS:
+            if args.report is not None:
                 if args.out:
                     storage.save_report(args.out, details)
-                details = {k: details[k] for k in _REPORTS[args.command] or details}
+                details = {k: details[k] for k in args.report or details}
         except (MissingAuxInput, RecordError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code, details = 2, {"error": str(exc)}

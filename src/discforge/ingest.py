@@ -36,6 +36,7 @@ log = logging.getLogger(__name__)
 
 API_ROOT = "https://api.github.com"
 PER_PAGE = 100
+MAX_RETRIES = 5  # retries of a failed request, with exponential backoff, before it fails for good
 
 # "#123" style references: not preceded by a word char or '/', so
 # "PR#12", "issue #12" match while "abc#12" in a URL path does not.
@@ -139,7 +140,7 @@ class _TrackerError(RuntimeError, OSError):
     """A request that failed for good: an I/O failure, so the CLI exits 2."""
 
 
-def _request(transport, url, params, headers, *, sleep, max_retries=5):
+def _request(transport, url, params, headers, *, sleep):
     """One logical GET with exponential backoff and rate-limit waits."""
     attempt = 0
     while True:
@@ -164,7 +165,7 @@ def _request(transport, url, params, headers, *, sleep, max_retries=5):
             if status < 500:
                 raise _TrackerError(f"{url} returned {status}")
             failure, cause = f"{url} kept returning {status}", None
-        if attempt >= max_retries:
+        if attempt >= MAX_RETRIES:
             raise _TrackerError(failure) from cause
         sleep(min(60.0, 2.0**attempt))
         attempt += 1
@@ -190,6 +191,14 @@ def _pages(transport, url, params, headers, *, sleep):
         if len(items) < PER_PAGE:
             return
         page += 1
+
+
+def _window(since, until):
+    """The normalized (since, until); raises RecordError for a bad timestamp, ValueError for an empty window."""
+    since, until = normalize_timestamp(since), normalize_timestamp(until)
+    if until <= since:
+        raise ValueError(f"empty window: since={since} until={until}")
+    return since, until
 
 
 def _stamp(value):
@@ -250,10 +259,7 @@ def fetch_issues(
     issue created exactly at `until` is out. An in-window tracker issue
     gets its comments before it is yielded.
     """
-    since = normalize_timestamp(since)
-    until = normalize_timestamp(until)
-    if until <= since:
-        raise ValueError(f"empty window: since={since} until={until}")
+    since, until = _window(since, until)
     report = report if report is not None else MineReport()
     if archive is not None:
         raws, complete = archive.iter_issues(project), None
@@ -458,26 +464,38 @@ def mine_projects(
     ``links.jsonl``, ``mine-report.json``. Every run mines the whole
     window again, so the same inputs give the same bytes. Each file is
     written beside its target and then moved onto it, so a run that fails
-    or is killed leaves every earlier file whole. Every project's commits
-    are parsed first, before any request or write; a bad one raises
-    CommitsError naming the project; a project name that is not
-    ``owner/name`` raises RecordError. ``cursor_path`` is accepted and
-    ignored; it remains only for callers that still pass it.
+    or is killed leaves every earlier file whole. Before any request or
+    write, it raises RecordError for a project name that is not
+    ``owner/name``, for two projects that would write one discussions file
+    (one name listed twice, say) or for a window bound that does not
+    parse; CommitsError naming the project for commits that do not parse;
+    and ValueError for an empty window or, online, an unset ``token_env``.
+    ``cursor_path`` is accepted and ignored; it remains only for callers
+    that still pass it.
     """
-    dirnames = {project: project_dirname(project) for project in projects}
+    projects_by_dirname = {}
+    for project in projects:
+        dirname = project_dirname(project)
+        if dirname in projects_by_dirname:
+            first = projects_by_dirname[dirname]
+            raise RecordError(f"projects {first!r} and {project!r} both write {_DISCUSSIONS}/{dirname}.jsonl")
+        projects_by_dirname[dirname] = project
     commit_records = {}
     for project, commits in (commits_by_project or {}).items():
         try:
             commit_records[project] = normalize_commits(commits)
         except RecordError as exc:
             raise CommitsError(f"project {project}: {exc}") from None
+    _window(since, until)
     report = MineReport()
     archive = RawIssueArchive(archive_root) if archive_root else None
+    if archive is None:
+        _auth_headers(token_env)
     disc_dir = os.path.join(out_dir, _DISCUSSIONS)
     os.makedirs(disc_dir, exist_ok=True)
 
     all_links = []
-    for project in projects:
+    for dirname, project in projects_by_dirname.items():
         raws = list(
             fetch_issues(
                 project,
@@ -496,7 +514,7 @@ def mine_projects(
                 discussions.append(normalize_issue(raw, project))
             except RecordError as exc:
                 report.record_skip(project, raw.get("number"), exc)
-        save_discussions(os.path.join(disc_dir, f"{dirnames[project]}.jsonl"), discussions)
+        save_discussions(os.path.join(disc_dir, f"{dirname}.jsonl"), discussions)
         links = extract_commit_links(project, commit_records.get(project, []), raws)
         report.links_found += len(links)
         all_links.extend(links)

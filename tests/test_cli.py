@@ -278,24 +278,76 @@ class TestMine:
         assert "Traceback" not in err
         assert requests == [] and not out.exists()
 
-    @pytest.mark.parametrize("source", ["archive", "tracker"])
-    def test_bad_project_name_exits_2_before_any_request_or_write(self, tmp_path, capsys, monkeypatch, source):
+    def _fails_before_any_request_or_write(self, tmp_path, capsys, monkeypatch, source, *flags, listing=None):
+        """Run mine from `source` with `flags` last; check it exits 2 with one error line, requesting
+        nothing and changing no file under tmp_path, --out included. Returns that line."""
         projects, _ = self._write_archive(tmp_path)
-        projects.write_text("demo/proj\nproj\n", encoding="utf-8")
+        if listing is not None:
+            projects.write_text(listing, encoding="utf-8")
         requests = []
         monkeypatch.setenv("MINE_TOKEN", "t")
         monkeypatch.setattr(
             ingest, "default_transport", lambda *call: requests.append(call) or (200, {}, [])
         )
-        out = tmp_path / "o"
         flag = ["--archive", str(tmp_path / "arc")] if source == "archive" else ["--token-env", "MINE_TOKEN"]
+        before = tree(tmp_path)
         code = main([
-            "mine", "--projects", str(projects),
-            "--since", "2014-05-01T00:00:00Z", "--until", "2014-06-01T00:00:00Z", *flag, "--out", str(out),
+            "mine", "--projects", str(projects), "--since", "2014-05-01T00:00:00Z",
+            "--until", "2014-06-01T00:00:00Z", *flag, "--out", str(tmp_path / "o"), *flags,
         ])
-        assert code == 2
-        assert capsys.readouterr().err == "error: project must look like owner/name, got 'proj'\n"
-        assert requests == [] and not out.exists()
+        assert (code, requests, tree(tmp_path)) == (2, [], before)
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("source", ["archive", "tracker"])
+    def test_bad_project_name_exits_2_before_any_request_or_write(self, tmp_path, capsys, monkeypatch, source):
+        err = self._fails_before_any_request_or_write(
+            tmp_path, capsys, monkeypatch, source, listing="demo/proj\nproj\n"
+        )
+        assert err == "error: project must look like owner/name, got 'proj'\n"
+
+    @pytest.mark.parametrize(
+        "listing, message",
+        [("demo/proj\n  demo/proj\n", "'demo/proj' and 'demo/proj' both write discussions/demo__proj.jsonl"),
+         ("demo__x/proj\ndemo/x__proj\n",
+          "'demo__x/proj' and 'demo/x__proj' both write discussions/demo__x__proj.jsonl")],
+        ids=["same-name-twice", "shared-discussions-file"],
+    )
+    @pytest.mark.parametrize("source", ["archive", "tracker"])
+    def test_projects_sharing_a_discussions_file_exit_2_before_any_request_or_write(
+        self, tmp_path, capsys, monkeypatch, source, listing, message
+    ):
+        err = self._fails_before_any_request_or_write(tmp_path, capsys, monkeypatch, source, listing=listing)
+        assert err == f"error: projects {message}\n"
+
+    @pytest.mark.parametrize(
+        "source, flags, message",
+        [
+            ("archive", ["--since", "nope"], "unparseable timestamp: 'nope'"),
+            ("tracker", ["--since", "2015-01-01T00:00:00Z", "--until", "2014-01-01T00:00:00Z"],
+             "empty window: since=2015-01-01T00:00:00Z until=2014-01-01T00:00:00Z"),
+            ("tracker", ["--token-env", "UNSET_VAR"], "--token-env names 'UNSET_VAR' but that variable is unset"),
+        ],
+        ids=["bad-since", "empty-window", "unset-token"],
+    )
+    def test_bad_window_or_unset_token_exits_2_before_any_request_or_write(
+        self, tmp_path, capsys, monkeypatch, source, flags, message
+    ):
+        monkeypatch.delenv("UNSET_VAR", raising=False)
+        err = self._fails_before_any_request_or_write(tmp_path, capsys, monkeypatch, source, *flags)
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    def test_negative_fail_threshold_exits_2_before_any_request_or_write(
+        self, tmp_path, capsys, monkeypatch, given_by
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fail_threshold": -1}), encoding="utf-8")
+        flags = ["--fail-threshold", "-1"] if given_by == "flag" else ["--config", str(cfg)]
+        err = self._fails_before_any_request_or_write(tmp_path, capsys, monkeypatch, "archive", *flags)
+        assert err == "error: --fail-threshold must be >= 0, got -1\n"
 
     @pytest.mark.parametrize(
         "listing, want",
@@ -1005,6 +1057,39 @@ class TestConfigAndRunLog:
         assert "error" in capsys.readouterr().err
 
 
+class TestParser:
+    # Each subcommand's option strings in order; "!" marks a required flag.
+    SURFACE = {
+        "mine": "-h/--help --config --out! --projects! --commits --run-log -v/--verbose --since! --until! "
+                "--archive --token-env --fail-threshold",
+        "link": "-h/--help --config --out! --examples! --links! --discussions! --dropped --run-log -v/--verbose",
+        "tokenize": "-h/--help --config --out! --in! --run-log -v/--verbose --mode!",
+        "context": "-h/--help --config --out! --dataset! --discussions! --desc --traces --skipped --run-log "
+                   "-v/--verbose --repr! --limit",
+        "segments": "-h/--help --config --out! --dataset! --discussions! --run-log -v/--verbose --limit",
+        "eval": "-h/--help --config --out --refs! --candidates! --run-log -v/--verbose --repr --raw-strings",
+        "compare": "-h/--help --config --out --refs! --a! --b! --run-log -v/--verbose "
+                   "--samples --size --seed --jobs --shared-only",
+        "oracle-eval": "-h/--help --config --out --refs! --candidates! --run-log -v/--verbose",
+        "stats": "-h/--help --config --out --dataset! --discussions! --desc --run-log -v/--verbose",
+    }
+
+    def test_each_subcommands_flags_and_which_are_required(self):
+        _, sub_by_name = build_parser()
+        assert list(sub_by_name) == list(self.SURFACE)
+        surface = {
+            name: " ".join("/".join(a.option_strings) + "!" * a.required for a in sp._actions)
+            for name, sp in sub_by_name.items()
+        }
+        assert surface == self.SURFACE
+        groups = {name: [(g.required, [a.dest for a in g._group_actions]) for g in sp._mutually_exclusive_groups]
+                  for name, sp in sub_by_name.items()}
+        assert groups == {name: [(True, ["archive", "token_env"])] if name == "mine" else [] for name in self.SURFACE}
+        # --out is optional for exactly the report commands.
+        assert {name for name, flags in surface.items() if "--out!" not in flags.split()} == {
+            "eval", "compare", "oracle-eval", "stats"}
+
+
 def expected_digest(path):
     """storage.digest by its definition: a file's sha256, or a directory's listing of its JSON files."""
     if path.is_dir():
@@ -1185,6 +1270,24 @@ class TestOutputs:
         for name in names:
             shutil.copy(toml4j / "in" / "commits.json", toml4j / name)
         self.fails_cleanly(toml4j, capsys, argv, message + "\n")
+
+    # Each case: the argv, and a --run-log that its directory input would read (the input's flag and path).
+    RUN_LOG_IN_AN_INPUT = {
+        "oracle-eval": (["oracle-eval", "--refs", "linked.jsonl", "--candidates", "in/cands"],
+                        "in/cands/runs.jsonl", "--candidates in/cands"),
+        "link": ([*LINK_TOML4J, "--out", "fresh.out"], "mined/discussions/runs.jsonl",
+                 "--discussions mined/discussions"),
+        "context": (["context", *DATASET, "--traces", "in/traces", "--repr", "attended_segments", "--out", "fresh.out"],
+                    "in/traces/../traces/runs.json", "--traces in/traces"),
+    }
+
+    @pytest.mark.parametrize("command", list(RUN_LOG_IN_AN_INPUT))
+    def test_run_log_in_a_directory_input_exits_2_and_changes_no_file(self, toml4j, capsys, command):
+        argv, run_log, given = self.RUN_LOG_IN_AN_INPUT[command]
+        message = f"--run-log {run_log}: {given} would read this file\n"
+        self.fails_cleanly(toml4j, capsys, [*argv, "--run-log", run_log], message)
+        # A file no directory input lists is a run-log like any other.
+        assert main([*argv, "--run-log", os.path.splitext(run_log)[0] + ".log"]) == 0
 
     def test_mine_run_log_elsewhere_under_its_out_gets_the_line(self, toml4j):
         assert main([*MINE_TOML4J, "--out", "mined", "--run-log", "mined/runs.jsonl"]) == 0

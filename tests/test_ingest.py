@@ -785,6 +785,29 @@ class TestMineProjects:
             )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "projects, window, token_env, error, message",
+        [
+            (["p/q", "o/a", "p/q"], (SINCE, UNTIL), None, RecordError,
+             "projects 'p/q' and 'p/q' both write discussions/p__q.jsonl"),
+            (["a__b/c", "a/b__c"], (SINCE, UNTIL), None, RecordError,
+             "projects 'a__b/c' and 'a/b__c' both write discussions/a__b__c.jsonl"),
+            (["p/q"], ("nope", UNTIL), None, RecordError, "unparseable timestamp: 'nope'"),
+            (["p/q"], (UNTIL, SINCE), None, ValueError, f"empty window: since={UNTIL} until={SINCE}"),
+            (["p/q"], (SINCE, UNTIL), "NOPE", ValueError, "--token-env names 'NOPE' but that variable is unset"),
+        ],
+        ids=["same-name-twice", "shared-discussions-file", "bad-since", "empty-window", "unset-token"],
+    )
+    def test_bad_run_raises_before_any_request_or_write(
+        self, tmp_path, monkeypatch, projects, window, token_env, error, message
+    ):
+        monkeypatch.delenv("NOPE", raising=False)
+        transport, out = FakeTransport([]), tmp_path / "out"
+        with pytest.raises(error) as exc:
+            mine_projects(projects, *window, str(out), token_env=token_env, transport=transport, sleep=lambda s: None)
+        assert str(exc.value) == message
+        assert transport.calls == [] and not out.exists()
+
 
 MAY_1 = datetime(2014, 5, 1, 10, tzinfo=timezone.utc)
 

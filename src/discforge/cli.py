@@ -6,11 +6,11 @@ configuration, usage and input errors. A JSON file passed as --config
 (spelled out in full) supplies defaults for the chosen subcommand;
 explicit flags always win. Only `main` handles outputs: two that resolve
 to one file, a --run-log naming an input or a .json/.jsonl file in a
-directory input, a path naming an output's temp file, or a path naming a
-file `mine` writes under --out, exit 2 before any read or write;
-it opens --run-log (one JSON line per run, fingerprinting the inputs)
-before the command runs, and writes the report of eval, compare,
-oracle-eval and stats with its `inputs`.
+directory input or in mine's --archive tree, a path naming an output's
+temp file, or a path naming a file `mine` writes under --out, exit 2
+before any read or write; it opens --run-log (one JSON line per run,
+fingerprinting the inputs) before the command runs, and writes the
+report of eval, compare, oracle-eval and stats with its `inputs`.
 """
 
 from __future__ import annotations
@@ -187,15 +187,20 @@ def _check_outputs(sp, args):
     corrupt it, and an output's temp file (each but --run-log has one) is
     overwritten, then moved or removed. A --run-log is opened before the
     command reads, so one that a directory input would list (a .json or
-    .jsonl file in it, as storage.digest counts) is rejected too. For mine,
-    any path that ingest._replaces under its --out directory is rejected.
+    .jsonl file in it, as storage.digest counts) is rejected too, and for
+    mine one anywhere in the --archive tree, whose project directories it
+    reads. For mine, any path that ingest._replaces under its --out
+    directory is rejected.
     """
     inputs = _given(sp, args, _INPUTS)
     given = inputs + _given(sp, args, _OUTPUTS)
     if args.run_log and args.run_log.endswith((".json", ".jsonl")):
         parent = os.path.realpath(os.path.dirname(os.path.abspath(args.run_log)))
-        for flag, path in inputs:
-            if os.path.isdir(path) and os.path.realpath(path) == parent:
+        archive = [("--archive", args.archive)] if args.command == "mine" and args.archive else []
+        for flag, path in inputs + archive:
+            real = os.path.realpath(path)
+            inside = parent == real or (flag == "--archive" and os.path.commonpath([parent, real]) == real)
+            if os.path.isdir(path) and inside:
                 raise ValueError(f"--run-log {args.run_log}: {flag} {path} would read this file")
     temps = {} if args.command == "mine" else {
         os.path.realpath(path + storage.TEMP_SUFFIX): f"{flag} {path}"

@@ -5,7 +5,9 @@ Every context is ``buggy <s> method <s> NL`` where NL varies by kind
 only, and so on), truncated from the end to the token budget. Discussion
 content is re-filtered against the fixing commit's timestamp here, so a
 context can never leak post-fix text even if the dataset was assembled
-sloppily.
+sloppily. ``attended_segments`` takes the segments that an attention
+trace's steps hit (``extract_attended_segments``), which
+``storage.load_traces`` cuts each trace down to as it reads it.
 """
 
 from __future__ import annotations
@@ -102,9 +104,11 @@ def build_context(
 ) -> list[str]:
     """Render one example's input tokens for one representation.
 
-    Raises ContextSkip when this particular example lacks what the kind
-    needs (no oracle message, no description, no trace, no discussion)
-    and MissingAuxInput when a whole auxiliary input is absent.
+    `traces` maps an example id to its attended segments, as
+    storage.load_traces returns them. Raises ContextSkip when this
+    particular example lacks what the kind needs (no oracle message, no
+    description, no trace, no discussion) and MissingAuxInput when a whole
+    auxiliary input is absent.
     """
     prepared = prepare_discussions(example, discussions)
     kind = spec.kind
@@ -146,12 +150,12 @@ def build_context(
             raise MissingAuxInput(
                 "this representation needs attention traces; none were provided"
             )
-        trace = traces.get(example.id)
-        if trace is None:
+        attended = traces.get(example.id)
+        if attended is None:
             raise ContextSkip("no attention trace")
         by_ref = {ref: toks for ref, toks in _labeled_nl_parts(prepared)}
         nl_parts = []
-        for seg in extract_attended_segments(trace):
+        for seg in attended:
             ref = SegmentRef(seg.discussion_id, seg.kind, seg.utterance_index)
             toks = by_ref.get(ref)
             if toks is None:

@@ -208,7 +208,7 @@ def _weight_row(row, step) -> array:
     if isinstance(row, (list, tuple, array)):
         try:
             return array("d", row)
-        except TypeError:
+        except (TypeError, OverflowError):
             pass
     try:
         return array("d", [float(w) for w in row])

@@ -2,10 +2,11 @@
 
 Everything row-shaped is JSON Lines (one record per line, UTF-8, no ASCII
 escaping); attention traces are individual JSON documents because their
-weight matrices are large. ``_iter_json`` reads every input file, and
-its errors read ``PATH: [line N: ][field 'f': ]message``; ``_iter_keyed``
-is the one duplicate-key rule. Every writer puts its bytes beside the
-target and moves them onto it once they are complete (``replacing``).
+weight matrices are large, and they are decoded one weight row at a time
+(``_loads_trace``). ``_iter_json`` reads every input file, and its errors
+read ``PATH: [line N: ][field 'f': ]message``; ``_iter_keyed`` is the one
+duplicate-key rule. Every writer puts its bytes beside the target and
+moves them onto it once they are complete (``replacing``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import json
 import operator
 import os
 import stat
+from array import array
 
+from .contexts import extract_attended_segments
 from .records import (
     AttentionTrace,
     BugFixExample,
@@ -24,13 +27,14 @@ from .records import (
     Description,
     Discussion,
     RecordError,
+    Segment,
 )
 
 TEMP_SUFFIX = ".tmp"  # replacing writes a target's new bytes to its path plus this suffix
 
 
-def _iter_json(path, parse, *, lines=True):
-    """Yield parse(obj) for the JSON value on each non-blank line, or with lines=False for the one document.
+def _iter_json(path, parse, *, lines=True, loads=json.loads):
+    """Yield parse(loads(text)) for each non-blank line, or with lines=False for the one document.
 
     Invalid JSON and a RecordError from parse are re-raised naming the path
     and, in JSON Lines, the line; undecodable bytes name the path only,
@@ -43,7 +47,7 @@ def _iter_json(path, parse, *, lines=True):
                 if lines and not text.strip():
                     continue
                 try:
-                    obj = json.loads(text)
+                    obj = loads(text)
                 except json.JSONDecodeError as exc:
                     raise RecordError(f"invalid JSON: {exc}") from None
                 yield parse(obj)
@@ -51,6 +55,69 @@ def _iter_json(path, parse, *, lines=True):
             raise RecordError(exc.message, path=path, line=lineno, field=exc.field) from None
         except UnicodeDecodeError as exc:
             raise RecordError(str(exc), path=path) from None
+
+
+_space = json.decoder.WHITESPACE.match  # what json skips between tokens
+_value = json.JSONDecoder().raw_decode
+
+
+def _sequence(text, i, close, item):
+    """Walk the items of a JSON object or array whose opening bracket is just before i.
+
+    item(i) decodes the item at i and returns the index past it; the
+    return value is the index past the `close` bracket.
+    """
+    i = _space(text, i).end()
+    if text[i] == close:
+        return i + 1
+    while True:
+        i = _space(text, item(i)).end()
+        if text[i] == close:
+            return i + 1
+        if text[i] != ",":
+            raise ValueError
+        i = _space(text, i + 1).end()
+
+
+def _loads_trace(text):
+    """json.loads(text), except that each row of a top-level object's ``weights`` list is an array('d').
+
+    Rows are decoded and packed one at a time, so a trace's weights never
+    exist as Python float lists all at once. A row holding anything but
+    numbers stays a list, for AttentionTrace to report. Text this walk does
+    not accept goes through json.loads, so every error is json's own.
+    """
+    obj = {}
+
+    def row(i, rows):
+        value, i = _value(text, i)
+        if isinstance(value, list):
+            with contextlib.suppress(TypeError, OverflowError):
+                value = array("d", value)
+        rows.append(value)
+        return i
+
+    def member(i):
+        if text[i] != '"':
+            raise ValueError
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = _space(text, i).end()
+        if text[i] != ":":
+            raise ValueError
+        i = _space(text, i + 1).end()
+        if key == "weights" and text[i] == "[":
+            rows = obj[key] = []
+            return _sequence(text, i + 1, "]", lambda i: row(i, rows))
+        obj[key], i = _value(text, i)
+        return i
+
+    try:
+        i = _space(text, 0).end()
+        if text[i] != "{" or _space(text, _sequence(text, i + 1, "}", member)).end() != len(text):
+            raise ValueError
+        return obj
+    except (ValueError, IndexError):  # a JSONDecodeError is a ValueError
+        return json.loads(text)
 
 
 @contextlib.contextmanager
@@ -128,8 +195,8 @@ def input_files(path, suffixes=(".jsonl",)) -> list:
     return files
 
 
-def _iter_keyed(files, from_dict, what, *keys, lines=True):
-    """Yield the records _iter_json reads from each file, rejecting a key already yielded.
+def _iter_keyed(files, from_dict, what, *keys, **read):
+    """Yield the records _iter_json(file, ..., **read) reads from each file, rejecting a key already yielded.
 
     A record's key is its `keys` field, or the tuple of them when there
     are several. A repeat raises ``duplicate <what> <key> (first at record
@@ -149,7 +216,7 @@ def _iter_keyed(files, from_dict, what, *keys, lines=True):
         return record
 
     for f in files:
-        yield from _iter_json(f, parse, lines=lines)
+        yield from _iter_json(f, parse, **read)
 
 
 def digest(path) -> str:
@@ -190,8 +257,8 @@ def save_discussions(path, discussions) -> None:
 
 
 def load_attention_trace(path) -> AttentionTrace:
-    """Load and validate one attention trace JSON document."""
-    (trace,) = _iter_json(path, AttentionTrace.from_dict, lines=False)
+    """Load and validate one attention trace JSON document, weights and all."""
+    (trace,) = _iter_json(path, AttentionTrace.from_dict, lines=False, loads=_loads_trace)
     return trace
 
 
@@ -200,11 +267,21 @@ def save_attention_trace(path, trace: AttentionTrace) -> None:
         json.dump(trace.to_dict(), f, ensure_ascii=False)
 
 
-def load_traces(path) -> dict[str, AttentionTrace]:
-    """Load a trace file, or a directory's ``*.json`` trace files, keyed by example id."""
+def load_traces(path) -> dict[str, tuple[Segment, ...]]:
+    """Each trace's attended segments by example id, from a trace file or a directory's ``*.json`` traces.
+
+    Each trace is validated in full, then cut to
+    ``tuple(extract_attended_segments(trace))`` before the next file is
+    read, so memory holds one trace at a time however many there are.
+    """
     files = input_files(path, (".json",))
-    traces = _iter_keyed(files, AttentionTrace.from_dict, "trace for example", "example_id", lines=False)
-    return {t.example_id: t for t in traces}
+    traces = _iter_keyed(files, AttentionTrace.from_dict, "trace for example", "example_id",
+                         lines=False, loads=_loads_trace)
+    attended = {}
+    for trace in traces:
+        attended[trace.example_id] = tuple(extract_attended_segments(trace))
+        del trace  # not alive while the next file is decoded
+    return attended
 
 
 def load_candidates(path) -> dict[str, Candidate]:

@@ -608,6 +608,7 @@ class TestContext:
         [
             (None, "float() argument must be a string or a real number, not 'NoneType'"),
             ("abc", "could not convert string to float: 'abc'"),
+            pytest.param(10**400, "int too large to convert to float", id="int-too-large-for-a-double"),
         ],
     )
     def test_bad_trace_weight_exits_2_naming_file_field_and_row(
@@ -1279,6 +1280,9 @@ class TestOutputs:
                  "--discussions mined/discussions"),
         "context": (["context", *DATASET, "--traces", "in/traces", "--repr", "attended_segments", "--out", "fresh.out"],
                     "in/traces/../traces/runs.json", "--traces in/traces"),
+        # mine reads every *.json in a project directory of its archive as an issue
+        "mine": ([*MINE_TOML4J, "--out", "fresh"], "in/archive/mwanji__toml4j/runs.json", "--archive in/archive"),
+        "mine-archive-root": ([*MINE_TOML4J, "--out", "fresh"], "in/archive/runs.jsonl", "--archive in/archive"),
     }
 
     @pytest.mark.parametrize("command", list(RUN_LOG_IN_AN_INPUT))

@@ -353,7 +353,7 @@ class TestAttendedSegments:
     def test_build_context_attended(self, scenario):
         ex, discs = scenario
         _, segments = layout_whole_discussion(ex, spec("whole_discussion"), discs)
-        traces = {ex.id: make_trace(segments, [21, 5], 24)}
+        traces = {ex.id: extract_attended_segments(make_trace(segments, [21, 5], 24))}
         out = build_context(ex, spec("attended_segments"), discs, traces=traces)
         assert out == (
             ["bug", "<s>", "m", "<s>", "first", "report", "body", "<s>"] + D2_TITLE
@@ -362,7 +362,7 @@ class TestAttendedSegments:
     def test_build_context_attended_empty_degrades_to_bare_code(self, scenario):
         ex, discs = scenario
         _, segments = layout_whole_discussion(ex, spec("whole_discussion"), discs)
-        traces = {ex.id: make_trace(segments, [0], 24)}
+        traces = {ex.id: extract_attended_segments(make_trace(segments, [0], 24))}
         out = build_context(ex, spec("attended_segments"), discs, traces=traces)
         assert out == ["bug", "<s>", "m"]
 
@@ -382,7 +382,7 @@ class TestAttendedSegments:
         stale = Segment(0, "utterance", "demo/proj#1", 1, 4, 6)
         trace = make_trace([stale], [4], 6)
         with pytest.raises(ContextSkip):
-            build_context(ex, spec("attended_segments"), discs, traces={ex.id: trace})
+            build_context(ex, spec("attended_segments"), discs, traces={ex.id: extract_attended_segments(trace)})
 
 
 class TestEnumerateSegmentContexts:

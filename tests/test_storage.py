@@ -3,7 +3,10 @@
 import hashlib
 import json
 import os
+import random
 import re
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -256,7 +259,8 @@ def test_traces_directory(tmp_path):
     storage.save_attention_trace(tmp_path / "a.json", _trace("e1"))
     storage.save_attention_trace(tmp_path / "b.json", _trace("e2"))
     loaded = storage.load_traces(tmp_path)
-    assert set(loaded) == {"e1", "e2"}
+    # row 0 peaks at token 0, outside every segment; row 1 at token 3, in the title
+    assert loaded == {"e1": (_trace().segments[0],), "e2": (_trace().segments[0],)}
 
 
 def test_traces_duplicate_example(tmp_path):
@@ -416,3 +420,126 @@ def test_a_bad_trace_file_names_itself(tmp_path, text, field, message):
     where = f"field {field!r}: " if field else ""
     assert str(exc.value) == f"{path}: {where}{message}"
     assert (os.fspath(exc.value.path), exc.value.line, exc.value.field) == (str(path), None, field)
+
+
+# Weight values that array('d') packs (json's ints, floats, NaN/Infinity and booleans), then values
+# that keep a row a list: an int too large for a double, null, a string, a list and an object.
+_NUMBERS = ["0", "1", "-0.0", "0.25", "1e-3", "2E+1", "NaN", "Infinity", "-Infinity", "true", "false"]
+_NOT_NUMBERS = ["1" + "0" * 400, "null", '"0.5"', "[0.5]", '{"w": 1}']
+
+
+def _sp(rng):
+    return rng.choice(["", "", " ", "\n", "\t", " \r\n  "])
+
+
+def _members(rng, pairs):
+    """A JSON object's text from (key text, value text) pairs, with random whitespace."""
+    return "{" + ",".join(f"{_sp(rng)}{k}{_sp(rng)}:{_sp(rng)}{v}{_sp(rng)}" for k, v in pairs) + _sp(rng) + "}"
+
+
+def _random_trace_document(rng):
+    """Trace-like JSON text: shuffled and repeated keys, odd rows and weights, a nested meta."""
+    rows = []
+    for _ in range(rng.randrange(4)):
+        if rng.random() < 0.7:
+            values = [rng.choice(_NUMBERS if rng.random() < 0.9 else _NOT_NUMBERS) for _ in range(rng.randrange(5))]
+            rows.append("[" + ",".join(_sp(rng) + v + _sp(rng) for v in values) + "]")
+        else:
+            rows.append(rng.choice(['"0.5"', "1", "null", '{"a": [1]}']))
+    weights = "[" + ",".join(_sp(rng) + r + _sp(rng) for r in rows) + "]"
+    weights = weights if rng.random() < 0.8 else rng.choice(["[]", "5", '{"r": [1]}'])
+    meta = _members(rng, [('"weights"', "[[1, 2]]"), ('"aggregation"', '"mean over heads"'),
+                          ('"nested"', '{"a": [0.5, {"b": null}]}')])
+    pairs = [('"example_id"', '"e1"'), ('"num_input_tokens"', "3"), ('"segments"', "[]"),
+             (rng.choice(['"weights"', '"weigh\\u0074s"']), weights), ('"meta"', meta)]
+    if rng.random() < 0.3:  # a repeated key: json keeps the last value at the first key's place
+        pairs.append((rng.choice(pairs)[0], rng.choice([weights, "[[0.5, 0.5]]", "7", '"x"'])))
+    rng.shuffle(pairs)
+    if rng.random() < 0.05:
+        return _sp(rng) + "[" + weights + "]" + _sp(rng)
+    return _sp(rng) + _members(rng, pairs) + _sp(rng)
+
+
+def _mutants(rng, text):
+    """Single-character deletions, insertions and substitutions, truncations, and one character past the end."""
+    chars = '{}[],:" 0123456789.eE+-ntfaNI\\x'
+    out = [text + rng.choice(chars)]
+    for _ in range(8):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(chars)
+        out += [text[:i] + c + text[i:], text[:i] + c + text[i + 1:], text[:i], text[:i] + text[i + 1:]]
+    return out
+
+
+def _canonical(value):
+    """A comparable form of a decoded value: array rows as ('array', bytes), floats by repr (so NaN equals NaN)."""
+    if isinstance(value, array):
+        return ("array", value.tobytes())
+    if isinstance(value, dict):
+        return ("object", [(k, _canonical(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return ("list", [_canonical(v) for v in value])
+    return (type(value).__name__, repr(value))
+
+
+def _packed(row):
+    """A weights row as the trace reader must give it: array('d') when every value is a number that fits."""
+    try:
+        return array("d", row) if isinstance(row, list) else row
+    except (TypeError, OverflowError):
+        return row
+
+
+def _reference_loads(text):
+    """json.loads, then each row of a top-level object's weights list packed as _packed says."""
+    value = json.loads(text)
+    if isinstance(value, dict) and isinstance(value.get("weights"), list):
+        value["weights"] = [_packed(row) for row in value["weights"]]
+    return value
+
+
+def _read(path, loads):
+    """What _iter_json reads from one trace document with `loads`: ("ok", canonical value) or ("error", message)."""
+    try:
+        (value,) = storage._iter_json(path, lambda obj: obj, lines=False, loads=loads)
+    except RecordError as exc:
+        return ("error", str(exc))
+    return ("ok", _canonical(value))
+
+
+def test_trace_reader_matches_json_loads_on_random_documents(tmp_path):
+    """The row decoder returns json.loads's value with its weight rows packed, or raises json's own error."""
+    rng = random.Random(25)
+    path = tmp_path / "t.json"
+    outcomes = {"ok": 0, "error": 0}
+    for _ in range(120):
+        text = _random_trace_document(rng)
+        for case in [text, *_mutants(rng, text)]:
+            path.write_text(case, encoding="utf-8")
+            got = _read(path, storage._loads_trace)
+            assert got == _read(path, _reference_loads), case
+            outcomes[got[0]] += 1
+    # both sides were exercised, each by a good share of the cases
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_load_traces_memory_does_not_grow_with_the_trace_count(tmp_path):
+    """load_traces holds one trace's weights at a time: 20 traces peak no higher than 1.5x 2 traces."""
+    n = 200
+    doc = {"example_id": None, "num_input_tokens": n, "segments": [], "weights": [[1 / n] * n] * 20}
+
+    def peak(count):
+        root = tmp_path / str(count)
+        root.mkdir()
+        for i in range(count):
+            doc["example_id"] = f"e{i}"
+            (root / f"e{i}.json").write_text(json.dumps(doc), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert len(storage.load_traces(root)) == count
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two, twenty = peak(2), peak(20)
+    assert twenty <= 1.5 * two, (two, twenty)

@@ -17,7 +17,9 @@ The transport is injectable for tests: any callable
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
+import math
 import os
 import re
 import time
@@ -125,15 +127,22 @@ def _auth_headers(token_env) -> dict:
 
 
 def default_transport(url, params, headers):
-    """HTTP GET via requests, returning (status, headers, parsed JSON)."""
-    import requests
+    """HTTP GET via urllib, returning (status, headers, parsed JSON or None); an error status is a response too."""
+    from urllib.error import HTTPError
+    from urllib.parse import urlencode
+    from urllib.request import Request, urlopen
 
-    resp = requests.get(url, params=params, headers=headers, timeout=30)
     try:
-        payload = resp.json()
+        resp = urlopen(Request(f"{url}?{urlencode(params)}", headers=headers), timeout=30)
+    except HTTPError as exc:
+        resp = exc
+    with resp:
+        body = resp.read()
+    try:
+        payload = json.loads(body)
     except ValueError:
         payload = None
-    return resp.status_code, dict(resp.headers), payload
+    return resp.status, dict(resp.headers), payload
 
 
 class _TrackerError(RuntimeError, OSError):
@@ -141,7 +150,7 @@ class _TrackerError(RuntimeError, OSError):
 
 
 def _request(transport, url, params, headers, *, sleep):
-    """One logical GET with exponential backoff and rate-limit waits."""
+    """The payload of one logical GET, with exponential backoff and rate-limit waits."""
     attempt = 0
     while True:
         try:
@@ -149,19 +158,19 @@ def _request(transport, url, params, headers, *, sleep):
         except Exception as exc:
             failure, cause = f"transport kept failing for {url}: {exc}", exc
         else:
-            if status in (403, 429) and resp_headers.get("X-RateLimit-Remaining") == "0":
-                reset = resp_headers.get("X-RateLimit-Reset")
-                delay = 60.0
-                if reset:
-                    try:
-                        delay = max(1.0, float(reset) - time.time() + 1.0)
-                    except ValueError:
-                        pass
+            resp_headers = {name.lower(): value for name, value in resp_headers.items()}
+            if status in (403, 429) and resp_headers.get("x-ratelimit-remaining") == "0":
+                try:
+                    delay = float(resp_headers.get("x-ratelimit-reset")) - time.time() + 1.0
+                except (TypeError, ValueError):
+                    delay = math.nan
+                # Limits reset within the hour: a reset that is no finite time within a day waits 60 s.
+                delay = max(1.0, delay) if math.isfinite(delay) and delay <= 86400.0 else 60.0
                 log.info("rate limited; sleeping %.0fs", delay)
                 sleep(delay)
                 continue
             if status < 400:
-                return resp_headers, payload
+                return payload
             if status < 500:
                 raise _TrackerError(f"{url} returned {status}")
             failure, cause = f"{url} kept returning {status}", None
@@ -180,7 +189,7 @@ def _pages(transport, url, params, headers, *, sleep):
     """
     page = 1
     while True:
-        _, items = _request(
+        items = _request(
             transport, url, {**params, "per_page": PER_PAGE, "page": page}, headers, sleep=sleep
         )
         if not isinstance(items, list):

@@ -11,7 +11,7 @@ sha256 of every output file with ``tests/golden/digests.json``:
 Run-logs hold wall-clock times and are not written. ``compare``'s
 ``p_value`` follows ``random.Random``'s stream, which Python keeps the same
 across versions for a seed, so the digests hold on any Python and need no
-third-party package: the toml4j case also runs with numpy blocked.
+third-party package: the toml4j case also runs with numpy and requests blocked.
 
 A change meant to alter bytes regenerates the digests and says which files
 changed and why:
@@ -137,11 +137,13 @@ def test_outputs_match_golden_digests(case, tmp_path, monkeypatch):
 
 
 def test_every_command_runs_without_numpy(tmp_path):
-    """The toml4j case, compare and attended_segments included, with numpy blocked."""
+    """The toml4j case, compare and attended_segments included, with numpy and requests blocked;
+    no offline command loads the network stack."""
     src = os.path.join(os.path.dirname(HERE), "src")
     probe = (
-        "import json, pathlib, sys; sys.modules['numpy'] = None; import test_golden; "
-        "test_golden.run_toml4j(); pathlib.Path('digests').write_text(json.dumps(test_golden.digest_tree('out')))"
+        "import json, pathlib, sys; sys.modules['numpy'] = sys.modules['requests'] = None; import test_golden; "
+        "test_golden.run_toml4j(); pathlib.Path('digests').write_text(json.dumps(test_golden.digest_tree('out'))); "
+        "loaded = {'urllib.request', 'http.client', 'ssl'} & set(sys.modules); assert not loaded, loaded"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], cwd=tmp_path, capture_output=True, text=True, timeout=300,

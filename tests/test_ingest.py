@@ -4,12 +4,16 @@ import json
 import os
 import random
 import re
+import sys
+import threading
 import time
 from datetime import datetime, timedelta, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from discforge import ingest
+from discforge.cli import main
 from discforge.ingest import (
     API_ROOT,
     MineReport,
@@ -304,9 +308,12 @@ class TestFetchIssuesOnline:
         assert [i["number"] for i in got] == [1]
         assert slept == [1.0, 2.0]
 
-    def test_rate_limit_sleeps_until_reset(self):
+    @pytest.mark.parametrize("remaining, reset", [
+        ("X-RateLimit-Remaining", "X-RateLimit-Reset"), ("x-ratelimit-remaining", "x-ratelimit-reset"),
+    ])
+    def test_rate_limit_sleeps_until_reset(self, remaining, reset):
         transport = FakeTransport([
-            (403, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "0"}, None),
+            (403, {remaining: "0", reset: "0"}, None),
             (200, {}, [raw_issue(1)]),
             (200, {}, []),
         ])
@@ -320,9 +327,11 @@ class TestFetchIssuesOnline:
         assert [i["number"] for i in got] == [1]
         assert len(slept) == 1 and slept[0] >= 1.0
 
-    def test_unparsable_rate_limit_reset_waits_60_seconds(self):
+    @pytest.mark.parametrize("reset", ["soon", "inf", "-inf", "nan", "1e300", "1e12", ""])
+    def test_unparsable_rate_limit_reset_waits_60_seconds(self, reset):
+        """A reset that is no finite time within a day (time.sleep overflows on inf or 1e12 s)."""
         transport = FakeTransport([
-            (429, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "soon"}, None),
+            (429, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": reset}, None),
             (200, {}, [raw_issue(1)]),
         ])
         slept = []
@@ -936,3 +945,106 @@ class TestInterruptedMining:
             mine()
         assert written, "the write never started"
         assert read_tree(out) == want
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each GET with the next (status, headers, body) of its server's script."""
+
+    def do_GET(self):
+        self.server.requests.append((self.path, {k.lower(): v for k, v in self.headers.items()}))
+        status, headers, body = self.server.script.pop(0)
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A tracker API on 127.0.0.1 that ingest.API_ROOT points at, with the requests package blocked."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server.script, server.requests = [], []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    monkeypatch.setattr(ingest, "API_ROOT", f"http://127.0.0.1:{server.server_port}")
+    monkeypatch.setitem(sys.modules, "requests", None)
+    monkeypatch.setenv("no_proxy", "*")  # the lowercase name wins over any NO_PROXY
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def json_or_none(body):
+    try:
+        return json.loads(body)
+    except ValueError:
+        return None
+
+
+class TestDefaultTransport:
+    """default_transport over real HTTP: mine writes what the same payloads write through FakeTransport."""
+
+    def _mine(self, tmp_path, monkeypatch, out):
+        (tmp_path / "projects.txt").write_text("demo/proj\n", encoding="utf-8")
+        monkeypatch.setenv("MINE_TOKEN", "sekret")
+        slept = []
+        monkeypatch.setitem(ingest.mine_projects.__kwdefaults__, "sleep", slept.append)
+        code = main([
+            "mine", "--projects", str(tmp_path / "projects.txt"), "--since", SINCE, "--until", UNTIL,
+            "--token-env", "MINE_TOKEN", "--out", str(tmp_path / out),
+        ])
+        return code, read_tree(tmp_path / out), slept
+
+    def _same_through_both_transports(self, tmp_path, monkeypatch, capsys, loopback, script):
+        """Mine over loopback, then through FakeTransport; both give one exit code, tree, sleeps and stderr."""
+        loopback.script = list(script)
+        got = self._mine(tmp_path, monkeypatch, "http") + (capsys.readouterr().err,)
+        assert loopback.script == []
+        fake = FakeTransport([(status, headers, json_or_none(body)) for status, headers, body in script])
+        monkeypatch.setattr(ingest, "default_transport", fake)
+        assert self._mine(tmp_path, monkeypatch, "fake") + (capsys.readouterr().err,) == got
+        return got
+
+    def test_mines_pages_comments_rate_limit_and_retry(self, tmp_path, monkeypatch, capsys, loopback):
+        root = ingest.API_ROOT
+        first = [raw_issue(n) for n in range(1, ingest.PER_PAGE + 1)]
+        first[1].update(comments=1, comments_url=f"{root}/comments/2")
+        comment = {"body": "me too", "user": {"login": "bob"}, "created_at": "2014-05-02T10:00:00Z"}
+        limited = {"x-ratelimit-remaining": "0", "x-ratelimit-reset": "0"}
+        script = [
+            (403, limited, b'{"message": "API rate limit exceeded"}'),
+            (200, {}, json.dumps(first).encode()),
+            (500, {}, b"{}"),
+            (200, {}, json.dumps([comment]).encode()),
+            (200, {}, json.dumps([raw_issue(101), raw_issue(102)]).encode()),
+        ]
+        code, tree, slept, err = self._same_through_both_transports(tmp_path, monkeypatch, capsys, loopback, script)
+        assert (code, slept, err) == (0, [1.0, 1.0], "")
+        rows = [json.loads(line) for line in tree["discussions/demo__proj.jsonl"].splitlines()]
+        assert [r["id"] for r in rows] == [f"demo/proj#{n}" for n in range(1, 103)]
+        assert [u["body_raw"] for u in rows[1]["utterances"]] == ["the body", "me too"]
+        issues = "/repos/demo/proj/issues?state=all&sort=created&direction=asc&since=2014-05-01T00%3A00%3A00Z"
+        comments = "/comments/2?per_page=100&page=1"
+        assert [path for path, _ in loopback.requests] == [
+            f"{issues}&per_page=100&page=1", f"{issues}&per_page=100&page=1", comments, comments,
+            f"{issues}&per_page=100&page=2",
+        ]
+        for _, headers in loopback.requests:
+            assert headers["authorization"] == "Bearer sekret"
+            assert headers["accept"] == "application/vnd.github+json"
+            assert headers["user-agent"]  # GitHub's API refuses a request without one
+
+    def test_body_that_is_not_json_fails_the_page(self, tmp_path, monkeypatch, capsys, loopback):
+        script = [(200, {"Content-Type": "text/html"}, b"<html>maintenance</html>")]
+        code, tree, slept, err = self._same_through_both_transports(tmp_path, monkeypatch, capsys, loopback, script)
+        assert code == 2 and slept == []
+        assert err == f"error: {ingest.API_ROOT}/repos/demo/proj/issues page 1: expected a JSON list, got NoneType\n"

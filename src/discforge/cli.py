@@ -27,10 +27,12 @@ from . import ingest, storage
 from .contexts import (
     ContextSkip,
     MissingAuxInput,
+    _require_aux_input,
     build_context,
     enumerate_segment_contexts,
 )
 from .evaluate import (
+    _check_bootstrap_args,
     best_exact_match,
     corpus_exact_match,
     dataset_stats,
@@ -303,6 +305,7 @@ def _cmd_tokenize(args) -> tuple[int, dict]:
 
 def _cmd_context(args) -> tuple[int, dict]:
     spec = ContextSpec(kind=args.repr, token_limit=args.limit)
+    _require_aux_input(spec.kind, args.desc or None, args.traces or None)  # as the loads below read them
     discussions = storage.load_discussions(args.discussions)
     descriptions = storage.load_descriptions(args.desc) if args.desc else None
     traces = storage.load_traces(args.traces) if args.traces else None
@@ -360,6 +363,7 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_compare(args) -> tuple[int, dict]:
+    _check_bootstrap_args(args.samples, args.size, args.seed)
     examples = storage.load_dataset(args.refs)
     cand_a = storage.load_candidates(args.cand_a)
     cand_b = storage.load_candidates(args.cand_b)

@@ -86,12 +86,12 @@ def _assemble(example, labeled_parts, token_limit):
     return truncate_from_end(tokens, token_limit), segments
 
 
-def _descriptions_for(example, descriptions):
-    if descriptions is None:
-        raise MissingAuxInput(
-            "this representation needs solution descriptions; none were provided"
-        )
-    return {disc_id: tokens for disc_id, tokens in descriptions.get(example.id, ())}
+def _require_aux_input(kind, descriptions, traces):
+    """Raise MissingAuxInput if `kind` reads an auxiliary input that is None."""
+    if kind in ("soln_desc", "soln_desc_plus_title") and descriptions is None:
+        raise MissingAuxInput("this representation needs solution descriptions; none were provided")
+    if kind == "attended_segments" and traces is None:
+        raise MissingAuxInput("this representation needs attention traces; none were provided")
 
 
 def build_context(
@@ -107,11 +107,12 @@ def build_context(
     `traces` maps an example id to its attended segments, as
     storage.load_traces returns them. Raises ContextSkip when this
     particular example lacks what the kind needs (no oracle message, no
-    description, no trace, no discussion) and MissingAuxInput when a whole
-    auxiliary input is absent.
+    description, no trace, no discussion) and MissingAuxInput, before
+    reading anything, when a whole auxiliary input is absent.
     """
-    prepared = prepare_discussions(example, discussions)
     kind = spec.kind
+    _require_aux_input(kind, descriptions, traces)
+    prepared = prepare_discussions(example, discussions)
 
     if kind == "without_nl":
         nl_parts = []
@@ -132,12 +133,12 @@ def build_context(
         if not nl_parts:
             raise ContextSkip("no utterance survives the temporal filter")
     elif kind == "soln_desc":
-        by_disc = _descriptions_for(example, descriptions)
+        by_disc = dict(descriptions.get(example.id, ()))
         nl_parts = [(None, by_disc[d.id]) for d in prepared if d.id in by_disc]
         if not nl_parts:
             raise ContextSkip("no solution description")
     elif kind == "soln_desc_plus_title":
-        by_disc = _descriptions_for(example, descriptions)
+        by_disc = dict(descriptions.get(example.id, ()))
         if not any(d.id in by_disc for d in prepared):
             raise ContextSkip("no solution description")
         nl_parts = []
@@ -146,10 +147,6 @@ def build_context(
                 nl_parts.append((None, by_disc[d.id]))
             nl_parts.append((None, d.title_tokens))
     elif kind == "attended_segments":
-        if traces is None:
-            raise MissingAuxInput(
-                "this representation needs attention traces; none were provided"
-            )
         attended = traces.get(example.id)
         if attended is None:
             raise ContextSkip("no attention trace")

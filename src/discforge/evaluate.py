@@ -99,6 +99,13 @@ def _binomial(rng, n: int, p: float) -> int:
             return k
 
 
+def _check_bootstrap_args(n_samples, sample_size, seed):
+    """Raise RecordError unless each is an int at or above its minimum (1, 1, 0)."""
+    _check_int(n_samples, "n_samples", 1)
+    _check_int(sample_size, "sample_size", 1)
+    _check_int(seed, "seed", 0)
+
+
 def paired_bootstrap(
     outcomes_a,
     outcomes_b,
@@ -130,9 +137,7 @@ def paired_bootstrap(
     n = len(a)
     if n == 0:
         raise ValueError("outcome vectors are empty")
-    _check_int(n_samples, "n_samples", 1)
-    _check_int(sample_size, "sample_size", 1)
-    _check_int(seed, "seed", 0)
+    _check_bootstrap_args(n_samples, sample_size, seed)
 
     plus = sum(x and not y for x, y in zip(a, b))
     minus = sum(y and not x for x, y in zip(a, b))

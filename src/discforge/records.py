@@ -203,6 +203,8 @@ def _check_sha(value, field_name):
 
 def _weight_row(row, step) -> array:
     """Attention row `step` as packed doubles, converting as float() does."""
+    if isinstance(row, array) and row.typecode == "d":
+        return row  # storage's decoder packs rows so; keep them, not a copy
     # Only sequences take the fast path: array() would read bytes as raw
     # memory, and it rejects what float() parses, such as "0.5".
     if isinstance(row, (list, tuple, array)):

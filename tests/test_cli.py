@@ -604,6 +604,24 @@ class TestContext:
         assert "descriptions" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "repr_, needs", [("soln_desc", "solution descriptions"), ("attended_segments", "attention traces")]
+    )
+    @pytest.mark.parametrize("discussions", ["present", "absent"])
+    def test_missing_aux_exits_2_before_any_input_or_output(
+        self, corpus, tmp_path, capsys, repr_, needs, discussions
+    ):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        out, skipped = tmp_path / "ctx.jsonl", tmp_path / "skipped.jsonl"
+        path = corpus["discussions"] if discussions == "present" else tmp_path / "absent.jsonl"
+        assert main([
+            "context", "--dataset", str(dataset), "--repr", repr_, "--discussions", str(path),
+            "--out", str(out), "--skipped", str(skipped),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: this representation needs {needs}; none were provided\n"
+        assert not out.exists() and not skipped.exists()
+
+    @pytest.mark.parametrize(
         "weight, problem",
         [
             (None, "float() argument must be a string or a real number, not 'NoneType'"),
@@ -750,6 +768,22 @@ class TestCompare:
         ]) == 2
         assert capsys.readouterr().err == "error: --shared-only left no examples to compare\n"
         assert not (tmp_path / "cmp.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, field, minimum",
+        [("--samples", "0", "n_samples", 1), ("--size", "0", "sample_size", 1), ("--seed", "-1", "seed", 0)],
+    )
+    def test_bad_bootstrap_value_exits_2_before_any_input_or_output(
+        self, tmp_path, capsys, flag, value, field, minimum
+    ):
+        out = tmp_path / "cmp.json"
+        assert main([
+            "compare", "--refs", str(tmp_path / "absent.jsonl"), "--a", str(tmp_path / "absent-a.jsonl"),
+            "--b", str(tmp_path / "absent-b.jsonl"), flag, value, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: field '{field}': {field} must be >= {minimum}, got {value}\n"
+        assert not out.exists()
 
     def test_jobs_accepted_without_effect(self, corpus, tmp_path):
         config = tmp_path / "jobs.json"

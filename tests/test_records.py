@@ -44,6 +44,13 @@ class TestNormalizeTimestamp:
     def test_microseconds_truncated(self):
         assert normalize_timestamp("2014-05-01T10:00:00.999Z") == "2014-05-01T10:00:00Z"
 
+    # Forms that datetime.fromisoformat parses only from Python 3.11 on.
+    @pytest.mark.parametrize(
+        "stamp", ["2014-05-01T10:00:00.1Z", "2014-05-01T12:00:00+0200", "20140501T100000Z"]
+    )
+    def test_extended_iso_forms(self, stamp):
+        assert normalize_timestamp(stamp) == "2014-05-01T10:00:00Z"
+
     @pytest.mark.parametrize("bad", ["", "yesterday", "2014-13-40T99:00:00Z", None, 17])
     def test_rejects_garbage(self, bad):
         with pytest.raises(RecordError):
@@ -304,6 +311,12 @@ class TestAttentionTrace:
     def test_meta_must_be_an_object(self):
         with pytest.raises(RecordError, match="meta must be a JSON object"):
             AttentionTrace.from_dict({**_trace([[1.0]]).to_dict(), "meta": ["mean"]})
+
+    def test_double_array_row_is_kept_and_list_row_is_packed(self):
+        kept, listed = array("d", [0.5, 0.5]), [0.5, 0.5]
+        t = AttentionTrace("e1", 2, (), (kept, listed))
+        assert t.weights[0] is kept
+        assert t.weights[1] is not listed and t.weights[1] == array("d", listed)
 
     def test_round_trip(self):
         t = _trace([[0.5, 0.25, 0.25]], segments=[Segment(0, "title", "a#1", None, 1, 3)])

@@ -1134,6 +1134,22 @@ def expected_digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _probe(cwd, argvs, modules=("hashlib", "_hashlib")):
+    """Run each argv through main in a fresh interpreter. Return the exit codes, which of `modules`
+    are loaded after the runs, and every module the runs loaded after `import discforge.cli`."""
+    probe = (
+        "import json, sys; from discforge.cli import main; before = set(sys.modules); "
+        f"exits = [main(argv) for argv in {argvs!r}]; "
+        f"print(json.dumps([exits, sorted(set({modules!r}) & set(sys.modules)), sorted(set(sys.modules) - before)]))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(discforge.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, cwd=cwd,
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 @pytest.fixture
 def toml4j(tmp_path, monkeypatch):
     """The toml4j fixture mined and linked in a fresh working directory, with a traces directory."""
@@ -1211,22 +1227,34 @@ class TestFingerprints:
         assert third == hashlib.sha256(json.dumps(listing).encode()).hexdigest()
 
     def test_commands_without_run_log_leave_hashlib_unloaded(self, toml4j):
-        """A digest loads OpenSSL; link, context and segments take none unless a run-log carries it."""
+        """link, context and segments take no digest unless a run-log carries it: the runs load neither
+        hashlib nor a SHA-256 module. (Python 3.12's random, which cli imports, loads _sha2 itself.)"""
         argvs = [
             [*LINK_TOML4J, "--out", "l.jsonl"],
             ["context", *DATASET, "--repr", "whole_discussion", "--out", "c.jsonl"],
             ["segments", *DATASET, "--out", "s.jsonl"],
         ]
-        probe = (
-            "import sys; from discforge.cli import main; "
-            f"print(*[main(argv) for argv in {argvs!r}], 'hashlib' in sys.modules)"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(discforge.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, cwd=toml4j,
-            capture_output=True, text=True, check=True, timeout=60,
-        )
-        assert out.stdout.split()[-4:] == ["0", "0", "0", "False"]
+        exits, loaded, new = _probe(toml4j, argvs)
+        assert (exits, loaded, {"_sha2", "_sha256"} & set(new)) == ([0, 0, 0], [], set())
+
+    def test_no_command_maps_openssl_to_fingerprint_its_inputs(self, toml4j):
+        """Every command fingerprints its inputs into its run-log line, and eval and stats into their
+        reports too, with CPython's own SHA-256: neither hashlib nor OpenSSL's _hashlib is loaded."""
+        argvs = []
+        for command, argv in self.RUNS.items():
+            argv = list(argv)
+            argv[argv.index("--out") + 1] = f"probe-{command}.out"  # no run replaces another's input
+            argvs.append([*argv, "--run-log", "probe-runs.jsonl"])
+        exits, loaded, _ = _probe(toml4j, argvs)
+        assert (exits, loaded) == ([0] * len(argvs), [])
+        entries = jsonl(toml4j / "probe-runs.jsonl")
+        assert [entry["command"] for entry in entries] == list(self.RUNS)
+        for argv, entry in zip(argvs, entries):
+            paths = [value for flag, value in zip(argv, argv[1:]) if flag in self.INPUT_FLAGS]
+            assert entry["inputs"] == {p: expected_digest(toml4j / p) for p in paths}
+            if argv[0] in ("eval", "stats"):
+                report = json.loads((toml4j / f"probe-{argv[0]}.out").read_text(encoding="utf-8"))
+                assert report["inputs"] == entry["inputs"]
 
     def test_run_log_argv_is_the_list_main_received(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])

@@ -5,6 +5,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from array import array
 
@@ -279,6 +281,63 @@ def test_directory_digest_covers_its_json_and_jsonl_files(tmp_path):
     (tmp_path / "c.txt").write_text("not an input", encoding="utf-8")
     listing = [[name, storage.digest(tmp_path / name)] for name in ("a.jsonl", "b.json")]
     assert storage.digest(tmp_path) == hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+
+
+_CHUNK = 1 << 16  # the size digest reads a file in
+
+
+def _readme_digest(path):
+    """The README's fingerprint, by hashlib: a file's sha256, or for a directory the sha256 of the
+    sorted list of [name, sha256] of its *.json and *.jsonl files."""
+    if path.is_dir():
+        names = sorted(p.name for p in path.iterdir() if p.suffix in (".json", ".jsonl"))
+        listing = [[name, hashlib.sha256((path / name).read_bytes()).hexdigest()] for name in names]
+        return hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _random_digest_inputs(rng, root):
+    """Files of random bytes at and around the read-chunk edges and of random sizes, and directories
+    of random names that mix input files with others the digest must skip."""
+    root.mkdir()
+    paths = []
+    sizes = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, *(rng.randrange(4 * _CHUNK) for _ in range(20))]
+    for i, size in enumerate(sizes):
+        paths.append(root / f"f{i}.bin")
+        paths[-1].write_bytes(rng.randbytes(size))
+    for d in range(12):
+        top = root / f"d{d}"
+        top.mkdir()
+        suffixes = [".json", ".jsonl"] + [rng.choice([".txt", ".JSON", ".json.bak", ".jsonl~", ""]) for _ in range(3)]
+        for suffix in suffixes + rng.choices([".json", ".jsonl", ".txt"], k=rng.randrange(4)):
+            stem = "".join(rng.choices("ab_-Zé✓0", k=rng.randrange(1, 6)))
+            (top / f"{stem}{suffix}").write_bytes(rng.randbytes(rng.choice([0, 1, _CHUNK, rng.randrange(3000)])))
+        paths.append(top)
+    return paths
+
+
+def test_digest_equals_hashlib_sha256_on_random_files_and_directories(tmp_path):
+    paths = _random_digest_inputs(random.Random(28), tmp_path / "in")
+    for path in paths:
+        assert storage.digest(path) == _readme_digest(path), path
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_module(tmp_path):
+    """With CPython's own SHA-256 module blocked, digest takes hashlib's, and every digest is unchanged."""
+    paths = _random_digest_inputs(random.Random(29), tmp_path / "in")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(storage.__file__)))
+    probe = (
+        "import json, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "from discforge import storage; "
+        f"print(json.dumps([[storage.digest(p) for p in {[str(p) for p in paths]!r}], 'hashlib' in sys.modules]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    digests, fell_back = json.loads(out.stdout)
+    assert fell_back
+    assert digests == [_readme_digest(p) for p in paths]
 
 
 def test_candidates_round_trip_and_dup(tmp_path):

@@ -83,7 +83,6 @@ def build_parser():
         for flag in ("--config", "--out", *flags, "--run-log"):
             required = flag == "--out" and report is None
             sp.add_argument(flag, **{"required": required, **_INPUTS.get(flag, _OUTPUTS.get(flag))})
-        sp.add_argument("-v", "--verbose", action="store_true", help="debug logging")
         sp.set_defaults(run=run, report=report)
         sub_by_name[name] = sp
         return sp
@@ -205,8 +204,7 @@ def _check_outputs(sp, args):
             if os.path.isdir(path) and inside:
                 raise ValueError(f"--run-log {args.run_log}: {flag} {path} would read this file")
     temps = {} if args.command == "mine" else {
-        os.path.realpath(path + storage.TEMP_SUFFIX): f"{flag} {path}"
-        for flag, path in given if flag in _OUTPUTS and flag != "--run-log"
+        storage.temp_file(path): f"{flag} {path}" for flag, path in given if flag in _OUTPUTS and flag != "--run-log"
     }
     seen = {}
     for flag, path in given:
@@ -233,7 +231,7 @@ def _fingerprints(sp, args):
 def _cmd_mine(args) -> tuple[int, dict]:
     if args.fail_threshold < 0:
         raise ValueError(f"--fail-threshold must be >= 0, got {args.fail_threshold}")
-    with open(args.projects, "r", encoding="utf-8") as f:
+    with open(args.projects, "r", encoding="utf-8-sig") as f:  # a leading BOM is not part of a name
         try:
             projects = [name for ln in f if (name := ln.strip()) and not name.startswith("#")]
         except UnicodeDecodeError as exc:
@@ -440,7 +438,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     with run_log:

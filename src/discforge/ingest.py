@@ -45,6 +45,9 @@ MAX_RETRIES = 5  # retries of a failed request, with exponential backoff, before
 _ISSUE_REF = re.compile(r"(?<![\w/])#(\d+)\b")
 _ISSUE_URL = re.compile(r"https?://github\.com/([\w.-]+/[\w.-]+)/issues/(\d+)\b")
 
+# A project as GitHub spells one: owner/name, each of ASCII letters, digits, '_', '.' and '-'.
+_PROJECT = re.compile(r"[A-Za-z0-9_.-]+/[A-Za-z0-9_.-]+")
+
 # Timeline event types that carry a commit_id worth linking.
 _LINKING_EVENTS = frozenset({"referenced", "cross-referenced", "closed"})
 
@@ -85,10 +88,9 @@ def _replaces(out_dir, path) -> bool:
 
 
 def project_dirname(project: str) -> str:
-    owner, _, name = project.partition("/")
-    if not owner or not name:
+    if not _PROJECT.fullmatch(project):
         raise RecordError(f"project must look like owner/name, got {project!r}")
-    return f"{owner}__{name}"
+    return project.replace("/", "__")
 
 
 class RawIssueArchive:
@@ -290,12 +292,21 @@ def fetch_issues(
             yield complete(raw) if complete else raw
 
 
-def _author_of(raw) -> str:
+def _utf8(text, field):
+    """text, or RecordError naming `field` when it holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise RecordError(str(exc), field=field) from None
+    return text
+
+
+def _author_of(raw, prefix="") -> str:
     user = raw.get("user")
     if isinstance(user, dict) and user.get("login"):
-        return str(user["login"])
+        return _utf8(str(user["login"]), f"{prefix}user.login")
     if isinstance(raw.get("author"), str):
-        return raw["author"]
+        return _utf8(raw["author"], f"{prefix}author")
     return ""
 
 
@@ -305,18 +316,20 @@ def normalize_issue(raw: dict, project: str) -> Discussion:
     The issue body (when non-blank) becomes utterance 0; comments follow,
     re-sorted by creation time. Raises RecordError for records that cannot
     be a discussion (missing title, missing number, broken timestamps, a
-    comment that is not an object, comments predating the report).
+    comment that is not an object, comments predating the report, a title,
+    body or author that UTF-8 cannot encode).
     """
     number = _check_int(raw.get("number"), "number", 1)
     title = raw.get("title")
     if not isinstance(title, str) or not title.strip():
         raise RecordError("missing title", field="title")
+    _utf8(title, "title")
     created_at = normalize_timestamp(raw.get("created_at"))
 
     utterances = []
     body = raw.get("body")
     if isinstance(body, str) and body.strip():
-        utterances.append((created_at, _author_of(raw), body))
+        utterances.append((created_at, _author_of(raw), _utf8(body, "body")))
     comments = raw.get("comments")
     if isinstance(comments, list):
         parsed = []
@@ -326,7 +339,8 @@ def normalize_issue(raw: dict, project: str) -> Discussion:
             cbody = c.get("body")
             if not isinstance(cbody, str) or not cbody.strip():
                 continue
-            parsed.append((normalize_timestamp(c.get("created_at")), _author_of(c), cbody))
+            at = f"comments[{i}]."
+            parsed.append((normalize_timestamp(c.get("created_at")), _author_of(c, at), _utf8(cbody, f"{at}body")))
         parsed.sort(key=lambda t: t[0])
         utterances.extend(parsed)
 
@@ -475,10 +489,11 @@ def mine_projects(
     written beside its target and then moved onto it, so a run that fails
     or is killed leaves every earlier file whole. Before any request or
     write, it raises RecordError for a project name that is not
-    ``owner/name``, for two projects that would write one discussions file
-    (one name listed twice, say) or for a window bound that does not
-    parse; CommitsError naming the project for commits that do not parse;
-    and ValueError for an empty window or, online, an unset ``token_env``.
+    ``owner/name`` made of ASCII letters, digits, ``_``, ``.`` and ``-``,
+    for two projects that would write one discussions file (one name
+    listed twice, say) or for a window bound that does not parse;
+    CommitsError naming the project for commits that do not parse; and
+    ValueError for an empty window or, online, an unset ``token_env``.
     ``cursor_path`` is accepted and ignored; it remains only for callers
     that still pass it.
     """

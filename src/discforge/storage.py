@@ -30,7 +30,23 @@ from .records import (
     Segment,
 )
 
-TEMP_SUFFIX = ".tmp"  # replacing writes a target's new bytes to its path plus this suffix
+TEMP_SUFFIX = ".tmp"
+
+
+def temp_file(path) -> str:
+    """Where replacing(path) writes `path`'s new bytes: the file `path` resolves to, plus TEMP_SUFFIX."""
+    return os.path.realpath(path) + TEMP_SUFFIX
+
+
+def _descriptor(path):
+    """The number of this process's open descriptor that `path`'s links reach (1 for /dev/stdout), or None."""
+    own = os.path.realpath("/proc/self") + "/"
+    while os.path.islink(path):  # one link at a time: realpath would go on to the descriptor's file
+        parent = os.path.realpath(os.path.dirname(path))
+        if parent.startswith(own) and parent.endswith("/fd"):
+            return int(os.path.basename(path))
+        path = os.path.join(parent, os.readlink(path))
+    return None
 
 
 def _iter_json(path, parse, *, lines=True, loads=json.loads):
@@ -122,27 +138,33 @@ def _loads_trace(text):
 
 @contextlib.contextmanager
 def replacing(path):
-    """Yield the path to write `path`'s new bytes to; they replace `path` once the body completes.
+    """Yield a UTF-8 text file for `path`'s new bytes; they replace the file `path` names once the body completes.
 
-    The bytes go to ``<path>.tmp`` in the same directory, which is moved
-    onto `path` when the body completes and removed when it raises, so a
-    failed run leaves an existing file as it was and creates no new one.
-    The TEMP_SUFFIX keeps a file left by a killed run out of the
-    loaders' ``*.jsonl`` and ``*.json`` globs. A target that exists and is
-    not a regular file (a symlink such as ``/dev/stdout``, or a pipe) is
-    written in place.
+    They go to temp_file(path), beside the file `path` resolves to, which
+    is moved onto that file when the body completes and removed when it
+    raises: a failed run leaves an existing file as it was and creates no
+    new one, and a symlink stays a link. TEMP_SUFFIX keeps a killed run's
+    file out of the loaders' globs. A target that is not a regular file (a
+    FIFO, say) is written in place. So is one of the process's open
+    descriptors (``/dev/stdout``, ``/dev/fd/N``), through a copy of the
+    descriptor, so the bytes go where its own writes go, even when it is a
+    regular file: after what it already holds when opened for appending,
+    and before what the process prints to it next.
     """
     try:
-        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
-    except FileNotFoundError:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:  # a missing path, or a link to one
         in_place = False
-    if in_place:
-        yield path
+    fd = _descriptor(path)
+    if in_place or fd is not None:
+        with open(path if fd is None else os.dup(fd), "w", encoding="utf-8") as f:
+            yield f
         return
-    tmp = f"{os.fspath(path)}{TEMP_SUFFIX}"
+    tmp = temp_file(path)
     try:
-        yield tmp
-        os.replace(tmp, path)
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, os.path.realpath(path))
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -151,7 +173,7 @@ def replacing(path):
 @contextlib.contextmanager
 def jsonl_writer(path):
     """Yield write(row), which adds one JSON line to `path`'s replacement."""
-    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         yield lambda row: f.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
@@ -278,7 +300,7 @@ def load_attention_trace(path) -> AttentionTrace:
 
 
 def save_attention_trace(path, trace: AttentionTrace) -> None:
-    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         json.dump(trace.to_dict(), f, ensure_ascii=False)
 
 
@@ -338,6 +360,6 @@ def load_descriptions(path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
 
 def save_report(path, report: dict) -> None:
     """Write an analysis report as indented JSON (human-diffable)."""
-    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         json.dump(report, f, ensure_ascii=False, indent=2)
         f.write("\n")

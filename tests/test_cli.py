@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import random
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -301,12 +304,30 @@ class TestMine:
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
+    @pytest.mark.parametrize(
+        "name", ["proj", "demo/proj/extra", "\ufeffdemo/other", "d\u00e9mo/proj", "demo/pr oj"],
+        ids=["no-owner", "extra-part", "bom-inside-the-file", "non-ascii", "space"],
+    )
     @pytest.mark.parametrize("source", ["archive", "tracker"])
-    def test_bad_project_name_exits_2_before_any_request_or_write(self, tmp_path, capsys, monkeypatch, source):
+    def test_bad_project_name_exits_2_before_any_request_or_write(self, tmp_path, capsys, monkeypatch, source, name):
+        """A name must be owner/name made of the characters GitHub allows."""
         err = self._fails_before_any_request_or_write(
-            tmp_path, capsys, monkeypatch, source, listing="demo/proj\nproj\n"
+            tmp_path, capsys, monkeypatch, source, listing=f"demo/proj\n{name}\n"
         )
-        assert err == "error: project must look like owner/name, got 'proj'\n"
+        assert err == f"error: project must look like owner/name, got {name!r}\n"
+
+    def test_projects_file_starting_with_a_byte_order_mark_mines_the_same_bytes(self, tmp_path, capsys):
+        projects, commits = self._write_archive(tmp_path)
+        for out, listing in (("plain", "demo/proj\n"), ("bom", "\ufeffdemo/proj\n")):
+            projects.write_text(listing, encoding="utf-8")
+            assert main([
+                "mine", "--projects", str(projects), "--since", "2014-05-01T00:00:00Z",
+                "--until", "2014-06-01T00:00:00Z", "--archive", str(tmp_path / "arc"),
+                "--commits", str(commits), "--fail-threshold", "1", "--out", str(tmp_path / out),
+            ]) == 0
+        assert capsys.readouterr().out == "mined 2 issues from 1 projects (1 skipped, 1 links)\n" * 2
+        assert tree(tmp_path / "bom") == tree(tmp_path / "plain")
+        assert [p.name for p in (tmp_path / "bom" / "discussions").iterdir()] == ["demo__proj.jsonl"]
 
     @pytest.mark.parametrize(
         "listing, message",
@@ -675,6 +696,132 @@ class TestContext:
         assert exc.value.code == 2
 
 
+def entries(root):
+    """Each entry of root: a link's text, or a file's bytes and inode."""
+    return {p.name: ("link", os.readlink(p)) if p.is_symlink() else ("file", p.read_bytes(), p.stat().st_ino)
+            for p in sorted(root.iterdir())}
+
+
+class TestReplacedOutputs:
+    """An --out reached through symlinks is replaced whole, as a plain file is; a special file is written in place."""
+
+    N = 12  # examples in the input, each of which gives one row of --out
+    KINDS = ("file", "link", "chain", "dangling", "missing")
+    EARLIER = b'{"an": "earlier output"}\n'
+
+    @pytest.fixture
+    def inputs(self, corpus, tmp_path):
+        """link's and context's argv without --out, over N examples that all link; and the examples file."""
+        examples = tmp_path / "examples.jsonl"
+        storage.save_dataset(examples, [make_example(ex_id=f"e{i}", discussion_ids=("demo/proj#1",))
+                                        for i in range(self.N)])
+        (tmp_path / "links.jsonl").write_text("", encoding="utf-8")
+        argv = {
+            "link": ["link", "--examples", str(examples), "--links", str(tmp_path / "links.jsonl"),
+                     "--discussions", str(corpus["discussions"])],
+            "context": ["context", "--dataset", str(examples), "--repr", "whole_discussion",
+                        "--discussions", str(corpus["discussions"])],
+        }
+        return argv, examples
+
+    def make_target(self, root, kind):
+        """root/out.jsonl as `kind`; returns it and the file it names. A file that exists holds EARLIER."""
+        root.mkdir()
+        out = root / "out.jsonl"
+        real = out if kind in ("file", "missing") else root / "real.jsonl"
+        if kind in ("file", "link", "chain"):
+            real.write_bytes(self.EARLIER)
+        if kind in ("link", "dangling"):
+            out.symlink_to(real.name)
+        if kind == "chain":
+            (root / "hop.jsonl").symlink_to(real.name)
+            out.symlink_to("hop.jsonl")
+        return out, real
+
+    @pytest.mark.parametrize("command", ["link", "context"])
+    def test_every_target_kind_is_replaced_whole_or_left_as_it_was(self, inputs, tmp_path, capsys, command):
+        argv, examples = inputs
+        good = examples.read_bytes()
+        assert main([*argv[command], "--out", str(tmp_path / "want.jsonl")]) == 0
+        want = (tmp_path / "want.jsonl").read_bytes()
+        assert want.count(b"\n") == self.N
+        # The last line, and three more at random, each holding a record that does not parse.
+        for bad_line in (self.N, *random.Random(command).sample(range(1, self.N), 3)):
+            lines = good.splitlines(keepends=True)
+            lines[bad_line - 1] = b'{"id": "broken"\n'
+            for kind in self.KINDS:
+                for fails in (False, True):
+                    examples.write_bytes(b"".join(lines) if fails else good)
+                    root = tmp_path / f"{bad_line}-{kind}-{fails}"
+                    out, real = self.make_target(root, kind)
+                    before = entries(root)
+                    code = main([*argv[command], "--out", str(out)])
+                    err = capsys.readouterr().err
+                    case = (bad_line, kind, fails)
+                    assert not list(root.glob("*.tmp")), case
+                    if fails:
+                        assert code == 2 and f"{examples}: line {bad_line}: invalid JSON" in err, case
+                        assert entries(root) == before, case
+                        continue
+                    assert code == 0, case
+                    after = entries(root)
+                    assert real.read_bytes() == want, case
+                    # Links keep their text; the file they name is a new one, not the earlier one rewritten.
+                    assert {k: v for k, v in after.items() if v[0] == "link"} == {
+                        k: v for k, v in before.items() if v[0] == "link"}, case
+                    assert before.get(real.name, (None, None, None))[2] != after[real.name][2], case
+
+    def test_out_naming_the_examples_through_a_link_replaces_them(self, inputs, tmp_path, capsys):
+        argv, examples = inputs
+        assert main([*argv["link"], "--out", str(tmp_path / "want.jsonl")]) == 0
+        alias = tmp_path / "alias.jsonl"
+        alias.symlink_to(examples.name)
+        assert main([*argv["link"], "--out", str(alias)]) == 0
+        assert capsys.readouterr().out.endswith(f"linked {self.N} examples; 0 had no discussion\n")
+        assert alias.is_symlink() and os.readlink(alias) == examples.name
+        assert examples.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_fifo_is_written_in_place(self, inputs, tmp_path):
+        argv, _ = inputs
+        assert main([*argv["context"], "--out", str(tmp_path / "want.jsonl")]) == 0
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main([*argv["context"], "--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert read == [(tmp_path / "want.jsonl").read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("out", ["/dev/stdout", "/dev/fd/1"])
+    @pytest.mark.parametrize("stdout", ["pipe", "truncated file", "appended file", "unlinked file"])
+    def test_open_descriptor_is_written_in_place(self, inputs, tmp_path, out, stdout):
+        """Through fd 1, whatever it is, the rows follow what it held and precede the summary; nothing is created."""
+        argv, _ = inputs
+        assert main([*argv["context"], "--out", str(tmp_path / "want.jsonl")]) == 0
+        want = (tmp_path / "want.jsonl").read_bytes() + f"built {self.N} whole_discussion contexts (0 skipped)\n".encode()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(discforge.__file__)))
+        root = tmp_path / "run"
+        root.mkdir()
+        held = root / "stdout.jsonl"
+        held.write_bytes(self.EARLIER)
+        earlier = self.EARLIER if stdout in ("appended file", "unlinked file") else b""
+        with open(held, "w+b" if stdout == "truncated file" else "a+b") as f:  # as `>` or `>>` opens it
+            if stdout == "unlinked file":
+                held.unlink()
+            run = subprocess.run(
+                [sys.executable, "-m", "discforge", *argv["context"], "--out", out],
+                env={**os.environ, "PYTHONPATH": src}, cwd=root, check=True, timeout=60,
+                stdout=subprocess.PIPE if stdout == "pipe" else f, stderr=subprocess.PIPE,
+            )
+            f.seek(0)
+            got = run.stdout if stdout == "pipe" else f.read()
+        assert got == earlier + want
+        assert sorted(os.listdir(root)) == ([] if stdout == "unlinked file" else ["stdout.jsonl"])
+
+
 class TestSegments:
     def test_rows(self, corpus, tmp_path):
         out = tmp_path / "segs.jsonl"
@@ -921,6 +1068,11 @@ class TestConfigAndRunLog:
         assert code == 2
         assert "unknown key 'cursor'" in capsys.readouterr().err
         assert not out.exists()
+        # -v/--verbose is gone: nothing in the package logs at DEBUG.
+        cfg.write_text(json.dumps({"verbose": True}), encoding="utf-8")
+        assert main(["context", "--config", str(cfg), "--dataset", str(corpus["dataset"]), "--repr", "title",
+                     "--discussions", str(corpus["discussions"]), "--out", str(tmp_path / "x.jsonl")]) == 2
+        assert "unknown key 'verbose'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, config, problem",
@@ -1095,18 +1247,18 @@ class TestConfigAndRunLog:
 class TestParser:
     # Each subcommand's option strings in order; "!" marks a required flag.
     SURFACE = {
-        "mine": "-h/--help --config --out! --projects! --commits --run-log -v/--verbose --since! --until! "
+        "mine": "-h/--help --config --out! --projects! --commits --run-log --since! --until! "
                 "--archive --token-env --fail-threshold",
-        "link": "-h/--help --config --out! --examples! --links! --discussions! --dropped --run-log -v/--verbose",
-        "tokenize": "-h/--help --config --out! --in! --run-log -v/--verbose --mode!",
+        "link": "-h/--help --config --out! --examples! --links! --discussions! --dropped --run-log",
+        "tokenize": "-h/--help --config --out! --in! --run-log --mode!",
         "context": "-h/--help --config --out! --dataset! --discussions! --desc --traces --skipped --run-log "
-                   "-v/--verbose --repr! --limit",
-        "segments": "-h/--help --config --out! --dataset! --discussions! --run-log -v/--verbose --limit",
-        "eval": "-h/--help --config --out --refs! --candidates! --run-log -v/--verbose --repr --raw-strings",
-        "compare": "-h/--help --config --out --refs! --a! --b! --run-log -v/--verbose "
+                   "--repr! --limit",
+        "segments": "-h/--help --config --out! --dataset! --discussions! --run-log --limit",
+        "eval": "-h/--help --config --out --refs! --candidates! --run-log --repr --raw-strings",
+        "compare": "-h/--help --config --out --refs! --a! --b! --run-log "
                    "--samples --size --seed --jobs --shared-only",
-        "oracle-eval": "-h/--help --config --out --refs! --candidates! --run-log -v/--verbose",
-        "stats": "-h/--help --config --out --dataset! --discussions! --desc --run-log -v/--verbose",
+        "oracle-eval": "-h/--help --config --out --refs! --candidates! --run-log",
+        "stats": "-h/--help --config --out --dataset! --discussions! --desc --run-log",
     }
 
     def test_each_subcommands_flags_and_which_are_required(self):
@@ -1333,6 +1485,13 @@ class TestOutputs:
         for name in names:
             shutil.copy(toml4j / "in" / "commits.json", toml4j / name)
         self.fails_cleanly(toml4j, capsys, argv, message + "\n")
+
+    def test_a_path_that_is_the_temp_file_beside_a_linked_outs_file_exits_2_and_changes_no_file(self, toml4j, capsys):
+        """A linked --out's temp file sits beside the file the link names, not beside the link."""
+        shutil.copy(toml4j / "linked.jsonl", toml4j / "real.jsonl")
+        (toml4j / "w.jsonl").symlink_to("real.jsonl")
+        argv = ["context", *DATASET, "--repr", "without_nl", "--out", "w.jsonl", "--skipped", "real.jsonl.tmp"]
+        self.fails_cleanly(toml4j, capsys, argv, "--skipped real.jsonl.tmp is the temp file of --out w.jsonl\n")
 
     # Each case: the argv, and a --run-log that its directory input would read (the input's flag and path).
     RUN_LOG_IN_AN_INPUT = {

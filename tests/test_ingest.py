@@ -753,6 +753,48 @@ class TestExtractCommitLinks:
         assert links[0].issue_number == 4
 
 
+# Each case: raw_issue fields holding a lone surrogate, which JSON can spell ("\ud83d") but UTF-8 cannot
+# encode, and the field that the skip reason names.
+_COMMENT = {"body": "a comment", "user": {"login": "bob"}, "created_at": "2014-05-02T10:00:00Z"}
+LONE_SURROGATE = {
+    "title": ({"title": "crash \ud83d"}, "title"),
+    "body": ({"body": "see \ud83d"}, "body"),
+    "user.login": ({"user": {"login": "al\ud83dce"}}, "user.login"),
+    "author": ({"user": None, "author": "\ud83d"}, "author"),
+    "comment body": ({"comments": [_COMMENT, dict(_COMMENT, body="x \ud83d")]}, "comments[1].body"),
+    "comment author": ({"comments": [dict(_COMMENT, user={"login": "\ud83d"})]}, "comments[0].user.login"),
+}
+
+
+class TestLoneSurrogate:
+    """An issue whose text UTF-8 cannot encode is a skipped issue, from either source; the others are written."""
+
+    @pytest.mark.parametrize("source", ["archive", "tracker"])
+    @pytest.mark.parametrize("case", list(LONE_SURROGATE))
+    def test_is_a_skipped_issue(self, tmp_path, capsys, monkeypatch, source, case):
+        extra, field = LONE_SURROGATE[case]
+        issues = [raw_issue(1), raw_issue(2, **extra), raw_issue(3)]
+        (tmp_path / "projects.txt").write_text("p/q\n", encoding="utf-8")
+        if source == "archive":
+            write_archive(tmp_path / "arc", "p/q", issues)  # json.dumps writes the surrogate as \ud83d
+            flag = ["--archive", str(tmp_path / "arc")]
+        else:
+            monkeypatch.setenv("MINE_TOKEN", "t")
+            flag = ["--token-env", "MINE_TOKEN"]
+        out = tmp_path / "out"
+        argv = ["mine", "--projects", str(tmp_path / "projects.txt"), "--since", SINCE, "--until", UNTIL,
+                *flag, "--out", str(out)]
+        for threshold, code in ((0, 1), (1, 0)):
+            monkeypatch.setattr(ingest, "default_transport", FakeTransport([issues]))
+            assert main([*argv, "--fail-threshold", str(threshold)]) == code
+            assert capsys.readouterr().out == "mined 3 issues from 1 projects (1 skipped, 0 links)\n"
+            rows = (out / "discussions" / "p__q.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [json.loads(r)["id"] for r in rows] == ["p/q#1", "p/q#3"]
+            (skip,) = json.loads((out / "mine-report.json").read_text(encoding="utf-8"))["skip_reasons"]
+            assert (skip["project"], skip["issue_number"]) == ("p/q", 2)
+            assert skip["reason"].startswith(f"field '{field}': 'utf-8' codec can't encode character '\\ud83d'")
+
+
 class TestMineProjects:
     def test_end_to_end_archive(self, tmp_path):
         issue = raw_issue(18, body="Breaks on newlines")

@@ -104,9 +104,12 @@ def test_symlinked_target_is_written_through(tmp_path):
     real.write_text("old\n", encoding="utf-8")
     link = tmp_path / "link.jsonl"
     link.symlink_to(real)
+    assert storage.temp_file(link) == f"{real}.tmp"
+    old_inode = real.stat().st_ino
     assert storage.write_jsonl(link, [{"i": 1}]) == 1
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == '{"i": 1}\n'
+    assert real.stat().st_ino != old_inode  # replaced whole, not rewritten in place
 
 
 def test_loader_reports_array_line(tmp_path):

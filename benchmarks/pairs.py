@@ -27,6 +27,11 @@ figure (its median over its iterations), and the entry gives:
 - ``within_bound``: the change's median is no worse than the parent's by
   more than the metric's bound in BENCHMARK.json.
 
+Each workload also gives, per side, the phases at which its runs reached
+their peak RSS (``peak_phase``) and the median VmHWM in MB after each
+phase of the run (``phase_rss_mb``, ``[phase, MB]`` in run order), so a
+``peak_rss_mb`` figure shows which phase moved.
+
 Progress goes to stderr. Exit 1 when a run fails or counts a failed
 operation, or when the two sides' output sha256 digests differ, unless
 ``--bytes-change`` says that they are meant to; exit 0 otherwise.
@@ -99,7 +104,15 @@ def summarize_workload(workload, seed, runs, end_to_end):
         "digests_equal": all(r["digests"] == first for side in SIDES for r in runs[side]),
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "peak_phase": {side: sorted({r["peak_phase"] for r in runs[side]}) for side in SIDES},
+        "phase_rss_mb": {side: phase_medians([r["phase_rss_mb"] for r in runs[side]]) for side in SIDES},
     }
+
+
+def phase_medians(phase_lists):
+    """[phase, median MB] for each phase, in run order, from each run's [[phase, MB], ...] (run.py's
+    ``phase_rss_mb``); the runs of one workload have the same phases."""
+    return [[name, round(statistics.median(run[k][1] for run in phase_lists), 3)]
+            for k, (name, _) in enumerate(phase_lists[0])]
 
 
 def export(rev, dest):
@@ -118,8 +131,8 @@ def resolve(rev):
 
 
 def run_once(tree, workload, seed, seconds):
-    """One untraced perfbench run in `tree`: its end-to-end metrics, failed operations, output digests
-    and peak phase."""
+    """One untraced perfbench run in `tree`: its end-to-end metrics, failed operations, output digests,
+    peak phase and VmHWM after each phase."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -134,6 +147,7 @@ def run_once(tree, workload, seed, seconds):
         "failed": summary["failed"],
         "digests": report["digests"],
         "peak_phase": report["peak_phase"],
+        "phase_rss_mb": report["phase_rss_mb"],
         "machine_key": report["machine"]["key"],
     }
 

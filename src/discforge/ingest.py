@@ -113,7 +113,7 @@ class RawIssueArchive:
             return (0, int(stem)) if stem.isdigit() else (1, stem)
 
         for name in sorted(names, key=number_key):
-            yield from _iter_json(os.path.join(pdir, name), lambda raw: raw, lines=False)
+            yield from _iter_json(os.path.join(pdir, name), lambda raw: raw, json.load)
 
 
 def _auth_headers(token_env) -> dict:

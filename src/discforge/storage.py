@@ -2,11 +2,13 @@
 
 Everything row-shaped is JSON Lines (one record per line, UTF-8, no ASCII
 escaping); attention traces are individual JSON documents because their
-weight matrices are large, and they are decoded one weight row at a time
-(``_loads_trace``). ``_iter_json`` reads every input file, and its errors
-read ``PATH: [line N: ][field 'f': ]message``; ``_iter_keyed`` is the one
-duplicate-key rule. Every writer puts its bytes beside the target and
-moves them onto it once they are complete (``replacing``).
+weight matrices are large, and they are read a block at a time with each
+weight row packed as it is decoded (``_load_trace``): memory holds one
+trace's rows and one block of its text, never the whole file.
+``_iter_json`` reads every input file, and its errors read ``PATH: [line
+N: ][field 'f': ]message``; ``_iter_keyed`` is the one duplicate-key
+rule. Every writer puts its bytes beside the target and moves them onto
+it once they are complete (``replacing``).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def _descriptor(path):
     return None
 
 
-def _iter_json(path, parse, *, lines=True, loads=json.loads):
-    """Yield parse(loads(text)) for each non-blank line, or with lines=False for the one document.
+def _iter_json(path, parse, load=None):
+    """Yield parse(json.loads(line)) for each non-blank line, or, given `load`, parse(load(file)) for the one document.
 
     Invalid JSON and a RecordError from parse are re-raised naming the path
     and, in JSON Lines, the line; undecodable bytes name the path only,
@@ -59,11 +61,11 @@ def _iter_json(path, parse, *, lines=True, loads=json.loads):
     with open(path, "r", encoding="utf-8") as f:
         lineno = None
         try:
-            for lineno, text in enumerate(f, start=1) if lines else [(None, f.read())]:
-                if lines and not text.strip():
+            for lineno, source in enumerate(f, start=1) if load is None else [(None, f)]:
+                if load is None and not source.strip():
                     continue
                 try:
-                    obj = loads(text)
+                    obj = (load or json.loads)(source)
                 except json.JSONDecodeError as exc:
                     raise RecordError(f"invalid JSON: {exc}") from None
                 yield parse(obj)
@@ -73,67 +75,93 @@ def _iter_json(path, parse, *, lines=True, loads=json.loads):
             raise RecordError(str(exc), path=path) from None
 
 
+_BLOCK = 1 << 16  # characters of a trace's text read at a time
 _space = json.decoder.WHITESPACE.match  # what json skips between tokens
 _value = json.JSONDecoder().raw_decode
 
 
-def _sequence(text, i, close, item):
-    """Walk the items of a JSON object or array whose opening bracket is just before i.
+def _load_trace(f):
+    """json.load(f), except that each row of a top-level object's ``weights`` list is an array('d').
 
-    item(i) decodes the item at i and returns the index past it; the
-    return value is the index past the `close` bracket.
+    The text is read _BLOCK characters at a time and each row is packed as
+    soon as it is decoded, so memory holds the rows so far and about one
+    block of text, never the whole file. A row holding anything but numbers
+    stays a list, for AttentionTrace to report. A document this walk does
+    not accept is read again whole by json.loads, so every error is json's
+    own, a decode error's byte position included.
     """
-    i = _space(text, i).end()
-    if text[i] == close:
-        return i + 1
-    while True:
-        i = _space(text, item(i)).end()
-        if text[i] == close:
-            return i + 1
-        if text[i] != ",":
+    if not f.seekable():  # a pipe cannot be read again
+        return json.load(f)
+    buf, at = "", 0
+
+    def read(step):
+        """Return step(at)'s value and move `at` past its text. While the step fails short of the end of the file,
+        drop the text before `at` and read a block more: a value counts only once the text after it is read."""
+        nonlocal buf, at
+        while True:
+            try:
+                value, at = step(at)
+                return value
+            except (ValueError, IndexError):  # a JSONDecodeError is a ValueError
+                block = f.read(_BLOCK)
+                if not block:
+                    raise
+                buf, at = buf[at:] + block, 0
+
+    def token(i, chars):
+        """The next non-blank character from i, which must be one of `chars`, and the index past it."""
+        i = _space(buf, i).end()
+        if buf[i] not in chars:
             raise ValueError
-        i = _space(text, i + 1).end()
+        return buf[i], i + 1
 
+    def opening(i, bracket, close):
+        """`bracket`, then `close` too when nothing is inside; ',' when an item follows."""
+        _, i = token(i, bracket)
+        j = _space(buf, i).end()
+        return (close, j + 1) if buf[j] == close else (",", i)
 
-def _loads_trace(text):
-    """json.loads(text), except that each row of a top-level object's ``weights`` list is an array('d').
+    def member(i):
+        """A key, its value and the ',' or '}' after it; for a weights list, a new list and '[', with i at the '['."""
+        _, i = token(i, '"')
+        key, i = json.decoder.scanstring(buf, i)
+        _, i = token(i, ":")
+        i = _space(buf, i).end()
+        if key == "weights" and buf[i] == "[":
+            return (key, [], "["), i
+        value, i = _value(buf, i)
+        close, i = token(i, ",}")
+        return (key, value, close), i
 
-    Rows are decoded and packed one at a time, so a trace's weights never
-    exist as Python float lists all at once. A row holding anything but
-    numbers stays a list, for AttentionTrace to report. Text this walk does
-    not accept goes through json.loads, so every error is json's own.
-    """
-    obj = {}
-
-    def row(i, rows):
-        value, i = _value(text, i)
+    def row(i):
+        """A weights row, packed when it is all numbers, and the ',' or ']' after it."""
+        i = _space(buf, i).end()
+        if buf.find("]", i) < 0:  # read on to the row's end first, so that it is decoded once
+            raise IndexError
+        value, i = _value(buf, i)
         if isinstance(value, list):
             with contextlib.suppress(TypeError, OverflowError):
                 value = array("d", value)
-        rows.append(value)
-        return i
-
-    def member(i):
-        if text[i] != '"':
-            raise ValueError
-        key, i = json.decoder.scanstring(text, i + 1)
-        i = _space(text, i).end()
-        if text[i] != ":":
-            raise ValueError
-        i = _space(text, i + 1).end()
-        if key == "weights" and text[i] == "[":
-            rows = obj[key] = []
-            return _sequence(text, i + 1, "]", lambda i: row(i, rows))
-        obj[key], i = _value(text, i)
-        return i
+        close, i = token(i, ",]")
+        return (value, close), i
 
     try:
-        i = _space(text, 0).end()
-        if text[i] != "{" or _space(text, _sequence(text, i + 1, "}", member)).end() != len(text):
-            raise ValueError
-        return obj
-    except (ValueError, IndexError):  # a JSONDecodeError is a ValueError
-        return json.loads(text)
+        obj, close = {}, read(lambda i: opening(i, "{", "}"))
+        while close == ",":
+            key, obj[key], close = read(member)
+            if close == "[":
+                rows, close = obj[key], read(lambda i: opening(i, "[", "]"))
+                while close == ",":
+                    value, close = read(row)
+                    rows.append(value)
+                close = read(lambda i: token(i, ",}"))
+        rest = buf[at:] + f.read()  # only blanks may follow the object
+        if _space(rest).end() == len(rest):
+            return obj
+        raise ValueError
+    except (ValueError, IndexError):
+        f.seek(0)
+        return json.loads(f.read())
 
 
 @contextlib.contextmanager
@@ -294,8 +322,12 @@ def save_discussions(path, discussions) -> None:
 
 
 def load_attention_trace(path) -> AttentionTrace:
-    """Load and validate one attention trace JSON document, weights and all."""
-    (trace,) = _iter_json(path, AttentionTrace.from_dict, lines=False, loads=_loads_trace)
+    """Load and validate one attention trace JSON document, weights and all.
+
+    The text is read a block at a time, so memory holds the trace's weight
+    rows and one block of its text, never the whole file.
+    """
+    (trace,) = _iter_json(path, AttentionTrace.from_dict, _load_trace)
     return trace
 
 
@@ -307,13 +339,13 @@ def save_attention_trace(path, trace: AttentionTrace) -> None:
 def load_traces(path) -> dict[str, tuple[Segment, ...]]:
     """Each trace's attended segments by example id, from a trace file or a directory's ``*.json`` traces.
 
-    Each trace is validated in full, then cut to
-    ``tuple(extract_attended_segments(trace))`` before the next file is
-    read, so memory holds one trace at a time however many there are.
+    Each trace is read a block at a time and validated in full, then cut
+    to ``tuple(extract_attended_segments(trace))`` before the next file is
+    read, so memory holds one trace's weight rows and one block of its
+    text, never a whole file, however many traces there are.
     """
     files = input_files(path, (".json",))
-    traces = _iter_keyed(files, AttentionTrace.from_dict, "trace for example", "example_id",
-                         lines=False, loads=_loads_trace)
+    traces = _iter_keyed(files, AttentionTrace.from_dict, "trace for example", "example_id", load=_load_trace)
     attended = {}
     for trace in traces:
         attended[trace.example_id] = tuple(extract_attended_segments(trace))

@@ -57,9 +57,9 @@ def test_within_bound_is_relative_to_the_parent_median():
     assert pairs.summarize([[10.0, 8.9]], "1/s", "higher", 0.1)["within_bound"] is False
 
 
-def _run(wall, rss, digests, phase="stats", failed=0):
+def _run(wall, rss, digests, phase="stats", failed=0, phase_rss=(("setup", 18.0), ("stats", 24.6))):
     return {"metrics": {"wall_s": wall, "peak_rss_mb": rss}, "failed": failed, "digests": digests,
-            "peak_phase": phase, "machine_key": "m"}
+            "peak_phase": phase, "phase_rss_mb": [list(p) for p in phase_rss], "machine_key": "m"}
 
 
 def test_workload_summary_pairs_runs_in_order_and_compares_every_digest():
@@ -77,3 +77,21 @@ def test_workload_summary_pairs_runs_in_order_and_compares_every_digest():
     assert got["peak_phase"] == {"parent": ["stats"], "change": ["segments", "stats"]}
     runs["change"][1]["digests"] = {"a": "2"}
     assert pairs.summarize_workload("render", 5, runs, end_to_end)["digests_equal"] is False
+
+
+def test_workload_summary_gives_each_sides_median_vmhwm_per_phase_in_run_order():
+    """Phases keep run order, a repeated phase name included; each value is the median over the side's runs."""
+    end_to_end = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    score = [("setup", 24.6), ("eval", 27.5), ("eval", 27.5), ("oracle-eval", 27.5), ("context", 27.6)]
+    moved = [("setup", 23.0), ("eval", 23.0), ("eval", 23.05), ("oracle-eval", 23.1), ("context", 23.1)]
+    runs = {"parent": [_run(0.8, 27.6, {}, "context", phase_rss=score),
+                       _run(0.8, 27.7, {}, "context", phase_rss=[(n, mb + 0.1) for n, mb in score]),
+                       _run(0.8, 27.4, {}, "context", phase_rss=[(n, mb - 0.2) for n, mb in score])],
+            "change": [_run(0.8, 23.1, {}, "oracle-eval", phase_rss=moved)] * 3}
+    got = pairs.summarize_workload("score", 5, runs, end_to_end)
+    assert got["phase_rss_mb"] == {"parent": [["setup", 24.6], ["eval", 27.5], ["eval", 27.5],
+                                              ["oracle-eval", 27.5], ["context", 27.6]],
+                                   "change": [list(p) for p in moved]}
+    assert got["peak_phase"] == {"parent": ["context"], "change": ["oracle-eval"]}
+    assert pairs.phase_medians([[["setup", 1.0], ["a", 3.0]], [["setup", 2.0], ["a", 5.0]]]) == [["setup", 1.5],
+                                                                                                ["a", 4.0]]

@@ -560,17 +560,21 @@ def _reference_loads(text):
     return value
 
 
-def _read(path, loads):
-    """What _iter_json reads from one trace document with `loads`: ("ok", canonical value) or ("error", message)."""
+def _read(path, load):
+    """What _iter_json reads from one trace document with `load`: ("ok", canonical value) or ("error", message)."""
     try:
-        (value,) = storage._iter_json(path, lambda obj: obj, lines=False, loads=loads)
+        (value,) = storage._iter_json(path, lambda obj: obj, load)
     except RecordError as exc:
         return ("error", str(exc))
     return ("ok", _canonical(value))
 
 
-def test_trace_reader_matches_json_loads_on_random_documents(tmp_path):
-    """The row decoder returns json.loads's value with its weight rows packed, or raises json's own error."""
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 64, None])
+def test_trace_reader_matches_json_loads_on_random_documents(tmp_path, monkeypatch, block):
+    """The block reader returns json.loads's value with its weight rows packed, or raises json's own error,
+    wherever the blocks split the text (None: the default block)."""
+    if block is not None:
+        monkeypatch.setattr(storage, "_BLOCK", block)
     rng = random.Random(25)
     path = tmp_path / "t.json"
     outcomes = {"ok": 0, "error": 0}
@@ -578,11 +582,71 @@ def test_trace_reader_matches_json_loads_on_random_documents(tmp_path):
         text = _random_trace_document(rng)
         for case in [text, *_mutants(rng, text)]:
             path.write_text(case, encoding="utf-8")
-            got = _read(path, storage._loads_trace)
-            assert got == _read(path, _reference_loads), case
+            got = _read(path, storage._load_trace)
+            assert got == _read(path, lambda f: _reference_loads(f.read())), case
             outcomes[got[0]] += 1
     # both sides were exercised, each by a good share of the cases
     assert min(outcomes.values()) > 1000, outcomes
+
+
+@pytest.mark.parametrize("block", [5, None])
+def test_undecodable_byte_past_the_first_block_is_reported_at_its_file_position(tmp_path, monkeypatch, block):
+    """A non-UTF-8 byte that the block reader meets after its first block reads as a decode of the whole file."""
+    if block is not None:
+        monkeypatch.setattr(storage, "_BLOCK", block)
+    text = json.dumps({"example_id": "e1", "num_input_tokens": 2, "segments": [],
+                       "weights": [[0.25, 0.75]] * 20000}).encode()
+    at = text.index(b"0.75", 200000)
+    path = tmp_path / "t.json"
+    path.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+    message = f"{path}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    for load in storage.load_attention_trace, storage.load_traces:
+        with pytest.raises(RecordError) as exc:
+            load(path)
+        assert (str(exc.value), exc.value.line, exc.value.field) == (message, None, None)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"example_id": "e1", "num_input_tokens": 2, "segments": [], "weights": [[0.5, 0.5]]}', None),
+    ('{"example_id": oops}', "invalid JSON: Expecting value: line 1 column 16 (char 15)"),
+])
+def test_a_trace_on_a_pipe_is_read_whole(text, message):
+    """A pipe cannot be read a second time, so a trace on one is read whole, with json's own errors."""
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode())
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        if message is None:
+            assert storage.load_attention_trace(path).weights == (array("d", [0.5, 0.5]),)
+        else:
+            with pytest.raises(RecordError) as exc:
+                storage.load_attention_trace(path)
+            assert str(exc.value) == f"{path}: {message}"
+    finally:
+        os.close(r)
+
+
+def test_trace_loaders_peak_below_the_file_size(tmp_path):
+    """A trace's text is read a block at a time: loading a 2 MB trace peaks below the file's size,
+    where reading the whole text at once peaked at twice it."""
+    rng = random.Random(30)
+    n = 800
+    rows = [[rng.random() for _ in range(n)] for _ in range(120)]
+    path = tmp_path / "e1.json"
+    path.write_text(json.dumps({"example_id": "e1", "num_input_tokens": n, "segments": [],
+                                "weights": [[w / sum(row) for w in row] for row in rows]}), encoding="utf-8")
+    del rows
+    size = path.stat().st_size
+    assert size > 2_000_000
+    for load, arg in (storage.load_traces, tmp_path), (storage.load_attention_trace, path):
+        tracemalloc.start()
+        try:
+            load(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size, (load.__name__, peak, size)
 
 
 def test_load_traces_memory_does_not_grow_with_the_trace_count(tmp_path):

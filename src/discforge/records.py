@@ -20,10 +20,13 @@ A title's and an utterance's tokens (``Discussion.title_tokens``,
 record, so each loaded record is tokenized at most once however many
 contexts render it. Nothing is tokenized at load time.
 
-Loaded records are compact. Every token tuple holds interned strings, so
-equal tokens share one object across a corpus; the interned set is
-bounded by the vocabulary (CPython 3.12 never frees interned strings,
-3.11 and 3.13 do). ``AttentionTrace.weights`` is a tuple of
+Loaded records are compact. Every token tuple holds interned strings, the
+computed memos (``Utterance.tokens``, ``Discussion.title_tokens``) too, so
+equal tokens share one object across a corpus and its discussions; the
+interned set is bounded by the vocabulary. CPython 3.12 never frees
+interned strings (3.11 and 3.13 do), so there a process keeps every
+discussion word it has tokenized, the letter and digit runs of URLs and
+shas included, for its lifetime. ``AttentionTrace.weights`` is a tuple of
 ``array('d')`` rows. An array can be written in place, so those rows are
 the one exception to immutability: nothing in this package writes them,
 and callers must not.
@@ -285,7 +288,7 @@ class Utterance(_Record):
         """Pre-tokenized text when present, otherwise the normalized raw body."""
         if self.body_tokens is not None:
             return self.body_tokens
-        return tuple(process_discussion_text(self.body_raw))
+        return tuple(map(sys.intern, process_discussion_text(self.body_raw)))
 
 
 @dataclass(frozen=True)
@@ -341,7 +344,7 @@ class Discussion(_Record):
                 )
             _set(self, "last_activity_at", declared)
 
-    title_tokens = functools.cached_property(lambda self: tuple(subtokenize(self.title)))
+    title_tokens = functools.cached_property(lambda self: tuple(map(sys.intern, subtokenize(self.title))))
 
 
 @dataclass(frozen=True)

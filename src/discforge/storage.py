@@ -160,6 +160,7 @@ def _load_trace(f):
             return obj
         raise ValueError
     except (ValueError, IndexError):
+        buf = obj = rows = rest = None  # json.loads reads it all again: hold neither the text nor the rows
         f.seek(0)
         return json.loads(f.read())
 

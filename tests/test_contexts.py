@@ -1,6 +1,8 @@
 """Context rendering: every representation, layout, truncation, attended segments."""
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -497,9 +499,82 @@ class TestTokenMemo:
         storage.save_discussions(path, discs)
         first = self.render(examples, discs)
         again = self.render(examples, discs)
-        fresh = self.render(examples, storage.load_discussions(path))
+        loaded = storage.load_discussions(path)
+        fresh = self.render(examples, loaded)
         assert first == again == fresh
-        (disc,) = discs.values()
-        assert isinstance(disc.title_tokens, tuple)
-        for utt in disc.utterances:
-            assert isinstance(vars(utt)["tokens"], tuple)
+        for disc in (*discs.values(), *loaded.values()):
+            assert isinstance(disc.title_tokens, tuple)
+            assert all(map(interned, disc.title_tokens))
+            for utt in disc.utterances:
+                assert isinstance(vars(utt)["tokens"], tuple)
+                assert all(map(interned, vars(utt)["tokens"]))
+
+
+def interned(tok):
+    """Whether `tok` is the interned string of its value: interning a fresh copy yields `tok` itself."""
+    return sys.intern((tok + ".")[:-1]) is tok
+
+
+class TestTokenSharing:
+    """The title and utterance memos hold interned strings, so equal words in every loaded
+    discussion share one string object and the memos cost a pointer per token."""
+
+    VOCAB = [w + end for w in ("parser", "crash", "lexer", "overflow", "buffer",
+                               "timeout", "release", "version", "regression", "config")
+             for end in ("", "ing", "ed", "s", "er")]
+
+    def load(self, tmp_path, n, words):
+        """n discussions with a title of 8 words and 3 utterances of `words` words from VOCAB,
+        saved to JSONL and loaded back, so that every string is freshly decoded."""
+        rng = random.Random(24)
+        discs = [
+            make_discussion(
+                disc_id=f"demo/proj#{i}",
+                number=i,
+                title=" ".join(rng.choices(self.VOCAB, k=8)),
+                utterances=[
+                    make_utterance(u, f"2014-05-0{u + 1}T10:00:00Z", " ".join(rng.choices(self.VOCAB, k=words)))
+                    for u in range(3)
+                ],
+            )
+            for i in range(1, n + 1)
+        ]
+        path = tmp_path / "discussions.jsonl"
+        storage.save_discussions(path, discs)
+        return storage.load_discussions(path)
+
+    def test_equal_tokens_are_one_object_across_discussions(self, tmp_path):
+        loaded = self.load(tmp_path, 2, 30)
+        first, seen = {}, 0
+        for disc in loaded.values():
+            for tok in (*disc.title_tokens, *(t for utt in disc.utterances for t in utt.tokens)):
+                seen += tok in first
+                assert first.setdefault(tok, tok) is tok, tok
+        assert seen > 100 and len(first) <= len(self.VOCAB)
+
+    def test_rendering_memos_cost_a_pointer_per_token(self, tmp_path):
+        """Rendering whole_discussion and segment contexts for 100 discussions of 600 body tokens
+        each, with their memos kept, peaks under 16 bytes a token above the loaded records
+        (about 9 interned, 67 when each token was its own string)."""
+        loaded = self.load(tmp_path, 100, 200)
+        examples = [
+            make_example(ex_id=f"e{i}", commit_ts="2014-06-01T00:00:00Z", discussion_ids=(disc_id,))
+            for i, disc_id in enumerate(loaded)
+        ]
+        whole = ContextSpec(kind="whole_discussion", token_limit=100_000)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for ex in examples:
+                build_context(ex, whole, loaded)
+                enumerate_segment_contexts(ex, loaded)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        n_tokens = sum(len(vars(utt)["tokens"]) for disc in loaded.values() for utt in disc.utterances)
+        assert n_tokens == 100 * 3 * 200
+        assert peak < 16 * n_tokens, (peak, n_tokens)

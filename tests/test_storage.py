@@ -627,16 +627,20 @@ def test_a_trace_on_a_pipe_is_read_whole(text, message):
         os.close(r)
 
 
-def test_trace_loaders_peak_below_the_file_size(tmp_path):
-    """A trace's text is read a block at a time: loading a 2 MB trace peaks below the file's size,
-    where reading the whole text at once peaked at twice it."""
+def _big_trace_text():
+    """A valid 120 x 800 trace of random weights, about 2.2 MB of JSON."""
     rng = random.Random(30)
     n = 800
     rows = [[rng.random() for _ in range(n)] for _ in range(120)]
+    return json.dumps({"example_id": "e1", "num_input_tokens": n, "segments": [],
+                       "weights": [[w / sum(row) for w in row] for row in rows]})
+
+
+def test_trace_loaders_peak_below_the_file_size(tmp_path):
+    """A trace's text is read a block at a time: loading a 2 MB trace peaks below the file's size,
+    where reading the whole text at once peaked at twice it."""
     path = tmp_path / "e1.json"
-    path.write_text(json.dumps({"example_id": "e1", "num_input_tokens": n, "segments": [],
-                                "weights": [[w / sum(row) for w in row] for row in rows]}), encoding="utf-8")
-    del rows
+    path.write_text(_big_trace_text(), encoding="utf-8")
     size = path.stat().st_size
     assert size > 2_000_000
     for load, arg in (storage.load_traces, tmp_path), (storage.load_attention_trace, path):
@@ -647,6 +651,27 @@ def test_trace_loaders_peak_below_the_file_size(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < size, (load.__name__, peak, size)
+
+
+@pytest.mark.parametrize("bad", ["first", "last"])
+def test_a_rejected_trace_is_reread_without_the_text_and_rows_walked_so_far(tmp_path, bad):
+    """A trace the block reader does not accept is read again whole by json.loads, after the
+    reader drops its text and packed rows: a 2 MB trace with a bad first or last character
+    peaks under 2.6 times its size (2.0 and 2.4), where keeping them peaked at 3.0 and 2.8."""
+    text = _big_trace_text()
+    text = "x" + text[1:] if bad == "first" else text[:-1] + "x"
+    path = tmp_path / "e1.json"
+    path.write_text(text, encoding="utf-8")
+    size = path.stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecordError, match="invalid JSON: Expecting"):
+            storage.load_attention_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * size, (peak, size)
 
 
 def test_load_traces_memory_does_not_grow_with_the_trace_count(tmp_path):

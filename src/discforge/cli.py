@@ -347,10 +347,9 @@ def _cmd_segments(args) -> tuple[int, dict]:
 
 
 def _cmd_eval(args) -> tuple[int, dict]:
-    examples = storage.load_dataset(args.refs)
     candidates = storage.load_candidates(args.candidates)
     report = corpus_exact_match(
-        examples, candidates, representation=args.repr, raw_strings=args.raw_strings
+        storage.iter_dataset(args.refs), candidates, representation=args.repr, raw_strings=args.raw_strings
     )
     payload = report.to_dict()
     print(
@@ -362,16 +361,17 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 def _cmd_compare(args) -> tuple[int, dict]:
     _check_bootstrap_args(args.samples, args.size, args.seed)
-    examples = storage.load_dataset(args.refs)
     cand_a = storage.load_candidates(args.cand_a)
     cand_b = storage.load_candidates(args.cand_b)
+    examples = storage.iter_dataset(args.refs)
     if args.shared_only:
-        shared = set(cand_a) & set(cand_b)
-        examples = [ex for ex in examples if ex.id in shared]
-        if not examples:
-            raise ValueError("--shared-only left no examples to compare")
-    vec_a = list(corpus_exact_match(examples, cand_a).per_example.values())
-    vec_b = list(corpus_exact_match(examples, cand_b).per_example.values())
+        examples = (ex for ex in examples if ex.id in cand_a and ex.id in cand_b)
+    # One pass decides both; keys "a" and "b" stay apart when --a and --b name one file.
+    matched_by = best_exact_match(examples, {"a": cand_a, "b": cand_b})["matched_by"].values()
+    if args.shared_only and not matched_by:
+        raise ValueError("--shared-only left no examples to compare")
+    vec_a = ["a" in names for names in matched_by]
+    vec_b = ["b" in names for names in matched_by]
     label_a, label_b = args.cand_a, args.cand_b
     swapped = False
     if sum(vec_a) < sum(vec_b):
@@ -397,22 +397,20 @@ def _cmd_compare(args) -> tuple[int, dict]:
 
 
 def _cmd_oracle_eval(args) -> tuple[int, dict]:
-    examples = storage.load_dataset(args.refs)
     sets = {
         os.path.basename(p).removesuffix(".jsonl"): storage.load_candidates(p)
         for p in storage.input_files(args.candidates)
     }
-    report = best_exact_match(examples, sets)
+    report = best_exact_match(storage.iter_dataset(args.refs), sets)
     rates = ", ".join(f"{k}={v}%" for k, v in report["sources"].items())
     print(f"best exact match: {report['best_exact_match_rate']}%  ({rates})")
     return 0, report
 
 
 def _cmd_stats(args) -> tuple[int, dict]:
-    examples = storage.load_dataset(args.dataset)
     discussions = storage.load_discussions(args.discussions)
     descriptions = storage.load_descriptions(args.desc) if args.desc else None
-    report = dataset_stats(examples, discussions, descriptions=descriptions)
+    report = dataset_stats(storage.iter_dataset(args.dataset), discussions, descriptions=descriptions)
     overall = report["overall"]
     print(
         f"{overall['num_examples']} examples, "

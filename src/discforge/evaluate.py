@@ -15,7 +15,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .linking import prepare_discussions
-from .records import SPLITS, EvalReport, _check_int
+from .records import SPLITS, EvalReport, _check_int, _percent
 from .textproc import code_tokenize
 
 
@@ -24,26 +24,33 @@ def exact_match(candidate_tokens, reference_tokens) -> bool:
     return tuple(candidate_tokens) == tuple(reference_tokens)
 
 
+def _matches(candidate, ex, raw_strings=False) -> bool:
+    """The one match rule: candidate (None when missing) reproduces ex's fixed code.
+
+    With raw_strings=True the candidate tokens are treated as raw text and
+    re-tokenized first, so formatting differences in model output do not matter.
+    """
+    if candidate is None:
+        return False
+    tokens = candidate.candidate_tokens
+    if raw_strings:
+        tokens = code_tokenize(" ".join(tokens))
+    return exact_match(tokens, ex.fixed_tokens)
+
+
 def corpus_exact_match(examples, candidates, *, representation="", raw_strings=False):
     """Score one candidate set against the examples' fixed code.
 
-    Examples with no candidate count as non-matches and are tallied in the
-    report's `missing`. With raw_strings=True the candidate tokens are
-    treated as raw text and re-tokenized before comparison, so formatting
-    differences in model output do not matter.
+    examples may be any iterable, such as storage.iter_dataset(path); it is
+    read once. Examples with no candidate count as non-matches and are
+    tallied in the report's `missing`. raw_strings is as for _matches.
     """
     per_example = {}
     missing = 0
     for ex in examples:
         cand = candidates.get(ex.id)
-        if cand is None:
-            per_example[ex.id] = False
-            missing += 1
-            continue
-        tokens = cand.candidate_tokens
-        if raw_strings:
-            tokens = code_tokenize(" ".join(tokens))
-        per_example[ex.id] = exact_match(tokens, ex.fixed_tokens)
+        missing += cand is None
+        per_example[ex.id] = _matches(cand, ex, raw_strings)
     return EvalReport(representation, per_example, missing)
 
 
@@ -168,8 +175,8 @@ def paired_bootstrap(
     return BootstrapResult(
         p_value=twice / (2.0 * n_samples),
         delta=delta,
-        rate_a=round(100.0 * (sum(a) / n), 1),
-        rate_b=round(100.0 * (sum(b) / n), 1),
+        rate_a=_percent(sum(a), n),
+        rate_b=_percent(sum(b), n),
         n=n,
         n_samples=n_samples,
         sample_size=sample_size,
@@ -180,32 +187,26 @@ def paired_bootstrap(
 def best_exact_match(examples, candidate_sets: dict) -> dict:
     """Oracle upper bound: an example counts if any source matched it.
 
-    candidate_sets maps source name -> {example_id -> Candidate}. The
-    report carries each source's own rate too; the best rate can never be
-    below any of them.
+    candidate_sets maps source name -> {example_id -> Candidate}. examples
+    may be any iterable and is read once: each example is checked against
+    every source as it is read, and `matched_by` lists, by example id, the
+    sources that matched it in candidate_sets order. Each source's own rate
+    and the best rate are counted from that table, so the best rate can
+    never be below any of them.
     """
     if not candidate_sets:
         raise ValueError("need at least one candidate set")
-    per_source = {}
-    matched_by = {ex.id: [] for ex in examples}
-    for name, candidates in candidate_sets.items():
-        report = corpus_exact_match(examples, candidates, representation=name)
-        per_source[name] = report.exact_match_rate
-        for ex_id, ok in report.per_example.items():
-            if ok:
-                matched_by[ex_id].append(name)
+    matched_by = {
+        ex.id: [name for name, candidates in candidate_sets.items() if _matches(candidates.get(ex.id), ex)]
+        for ex in examples
+    }
     n = len(matched_by)
-    best = sum(bool(v) for v in matched_by.values())
     return {
         "n": n,
-        "sources": per_source,
-        "best_exact_match_rate": round(100.0 * best / n, 1) if n else 0.0,
+        "sources": {name: _percent(sum(name in v for v in matched_by.values()), n) for name in candidate_sets},
+        "best_exact_match_rate": _percent(sum(bool(v) for v in matched_by.values()), n),
         "matched_by": matched_by,
     }
-
-
-def _avg(values):
-    return round(sum(values) / len(values), 1) if values else None
 
 
 def _code_len(tokens) -> int:
@@ -213,37 +214,31 @@ def _code_len(tokens) -> int:
 
 
 def _measure(ex, discussions, descriptions) -> dict:
-    """One example's token lengths and linked discussions, for dataset_stats."""
+    """One example's linked discussion ids and its values for each of _AVERAGES."""
     prepared = prepare_discussions(ex, discussions)
     return {
-        "split": ex.split,
         "ids": [d.id for d in prepared],
-        "discussions": [len(prepared)],
-        "utterances": [len(d.utterances) for d in prepared],
-        "buggy": [_code_len(ex.buggy_tokens)],
-        "fixed": [_code_len(ex.fixed_tokens)],
-        "title": [len(code_tokenize(d.title)) for d in prepared],
-        "utterance": [len(code_tokenize(u.body_raw)) for d in prepared for u in d.utterances],
-        "oracle_msg": [_code_len(ex.oracle_msg_tokens)] if ex.oracle_msg_tokens else [],
-        "description": [_code_len(t) for _, t in (descriptions or {}).get(ex.id, ())],
+        "discussions_per_example": [len(prepared)],
+        "utterances_per_discussion": [len(d.utterances) for d in prepared],
+        "tokens_buggy": [_code_len(ex.buggy_tokens)],
+        "tokens_fixed": [_code_len(ex.fixed_tokens)],
+        "tokens_title": [len(code_tokenize(d.title)) for d in prepared],
+        "tokens_utterance": [len(code_tokenize(u.body_raw)) for d in prepared for u in d.utterances],
+        "tokens_oracle_msg": [_code_len(ex.oracle_msg_tokens)] if ex.oracle_msg_tokens else [],
+        "tokens_description": [_code_len(t) for _, t in (descriptions or {}).get(ex.id, ())],
     }
 
 
-def _summary(rows) -> dict:
-    def avg(key):
-        return _avg([v for row in rows for v in row[key]])
+# dataset_stats reports avg_<key> of each, in this order.
+_AVERAGES = ("discussions_per_example", "utterances_per_discussion", "tokens_buggy", "tokens_fixed",
+             "tokens_title", "tokens_utterance", "tokens_oracle_msg", "tokens_description")
 
+
+def _summary(group) -> dict:
     return {
-        "num_examples": len(rows),
-        "num_linked_discussions": len({i for row in rows for i in row["ids"]}),
-        "avg_discussions_per_example": avg("discussions"),
-        "avg_utterances_per_discussion": avg("utterances"),
-        "avg_tokens_buggy": avg("buggy"),
-        "avg_tokens_fixed": avg("fixed"),
-        "avg_tokens_title": avg("title"),
-        "avg_tokens_utterance": avg("utterance"),
-        "avg_tokens_oracle_msg": avg("oracle_msg"),
-        "avg_tokens_description": avg("description"),
+        "num_examples": group["examples"],
+        "num_linked_discussions": len(group["ids"]),
+        **{f"avg_{key}": round(total / n, 1) if n else None for key, (total, n) in group["sums"].items()},
     }
 
 
@@ -253,15 +248,20 @@ def dataset_stats(examples, discussions, *, descriptions=None) -> dict:
     Utterance and discussion numbers reflect the temporal filter (content
     at or after each example's fixing commit is not counted), so the stats
     describe what a model could actually see. Token lengths use
-    code_tokenize over the underlying text. Each example is measured once;
-    the overall and per-split figures aggregate the same rows in example
-    order.
+    code_tokenize over the underlying text. examples may be any iterable
+    and is read once: each example is measured as it is read, and only
+    integer sums and counts are kept, overall and for its split.
     """
-    rows = [_measure(ex, discussions, descriptions) for ex in examples]
-    return {
-        "overall": _summary(rows),
-        "splits": {
-            split: _summary([row for row in rows if row["split"] == split])
-            for split in SPLITS
-        },
+    totals = {
+        group: {"examples": 0, "ids": set(), "sums": {key: [0, 0] for key in _AVERAGES}}
+        for group in ("overall", *SPLITS)
     }
+    for ex in examples:
+        row = _measure(ex, discussions, descriptions)
+        for group in (totals["overall"], totals[ex.split]):
+            group["examples"] += 1
+            group["ids"].update(row["ids"])
+            for key, sums in group["sums"].items():
+                sums[0] += sum(row[key])
+                sums[1] += len(row[key])
+    return {"overall": _summary(totals["overall"]), "splits": {split: _summary(totals[split]) for split in SPLITS}}

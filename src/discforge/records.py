@@ -185,6 +185,11 @@ def _check_int(value, field_name, minimum):
     return value
 
 
+def _percent(k, n) -> float:
+    """k of n as a percentage to one decimal; 0.0 when n is 0. Every rate in a report is this."""
+    return round(100.0 * k / n, 1) if n else 0.0
+
+
 def _check_choice(value, choices, field_name):
     if value not in choices:
         raise RecordError(f"{field_name} must be one of {choices}, got {value!r}", field=field_name)
@@ -567,10 +572,7 @@ class EvalReport:
 
     @property
     def exact_match_rate(self) -> float:
-        if not self.per_example:
-            return 0.0
-        matches = sum(bool(v) for v in self.per_example.values())
-        return round(100.0 * matches / self.n, 1)
+        return _percent(sum(bool(v) for v in self.per_example.values()), self.n)
 
     def to_dict(self) -> dict:
         return {

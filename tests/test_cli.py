@@ -16,6 +16,7 @@ import discforge
 from conftest import make_discussion, make_example, make_utterance
 from discforge import ingest, storage
 from discforge.cli import build_parser, main
+from discforge.evaluate import paired_bootstrap
 from discforge.records import Candidate
 
 FULL_SHA = "ab12cd34e56f78901a2b3c4d5e6f78901a2b3c4d"
@@ -893,6 +894,25 @@ class TestCompare:
         assert "swapped" in capsys.readouterr().out
         assert main(argv) == 0
         assert json.loads(out.read_text())["p_value"] == first["p_value"]
+
+    def test_rates_agree_with_eval_at_23_of_80(self, tmp_path):
+        # 100 * 23 / 80 is 28.75 and rounds to 28.8; 100 * (23 / 80) falls just below it, to 28.7.
+        examples = [make_example(ex_id=f"e{i}", fixed=("v", str(i), ";")) for i in range(80)]
+        refs = tmp_path / "refs.jsonl"
+        storage.save_dataset(refs, examples)
+        for name, hits in (("a", 23), ("b", 9)):
+            storage.save_candidates(tmp_path / f"{name}.jsonl", [
+                Candidate(ex.id, ex.fixed_tokens if i < hits else ("x",), name) for i, ex in enumerate(examples)
+            ])
+        assert main(["eval", "--refs", str(refs), "--candidates", str(tmp_path / "a.jsonl"),
+                     "--out", str(tmp_path / "eval.json")]) == 0
+        assert main(["compare", "--refs", str(refs), "--a", str(tmp_path / "a.jsonl"), "--b", str(tmp_path / "b.jsonl"),
+                     "--samples", "10", "--size", "10", "--out", str(tmp_path / "cmp.json")]) == 0
+        rate = json.loads((tmp_path / "eval.json").read_text())["exact_match_rate"]
+        assert rate == 28.8
+        assert json.loads((tmp_path / "cmp.json").read_text())["rate_a"] == rate
+        outcomes = [i < 23 for i in range(80)]
+        assert paired_bootstrap(outcomes, [False] * 80, n_samples=10, sample_size=10).rate_a == rate
 
     def test_shared_only(self, corpus, tmp_path):
         partial = tmp_path / "partial.jsonl"

@@ -17,7 +17,7 @@ from discforge.evaluate import (
     exact_match,
     paired_bootstrap,
 )
-from discforge.records import Candidate
+from discforge.records import SPLITS, Candidate
 
 
 class TestExactMatch:
@@ -319,6 +319,25 @@ class TestBestExactMatch:
     def test_no_sources_rejected(self):
         with pytest.raises(ValueError):
             best_exact_match(self.examples, {})
+
+
+def test_a_one_shot_iterator_gives_the_lists_result():
+    """examples is read once, so an iterator such as storage.iter_dataset(path) serves as well as a list."""
+    discussion = make_discussion(utterances=[make_utterance(0, "2014-05-01T10:00:00Z", "it crashes")])
+    examples = [
+        make_example(ex_id=f"e{i}", split=SPLITS[i % 3], fixed=("v", str(i), ";"), discussion_ids=(discussion.id,))
+        for i in range(6)
+    ]
+    sets = {
+        name: {f"e{i}": cand(f"e{i}", ("v", str(i), ";"), name) for i in hits}
+        for name, hits in (("s1", (0, 1)), ("s2", (1, 4)))
+    }
+    discussions = {discussion.id: discussion}
+    best = best_exact_match(examples, sets)
+    assert best["best_exact_match_rate"] == 50.0
+    assert best_exact_match(iter(examples), sets) == best
+    assert corpus_exact_match(iter(examples), sets["s1"]) == corpus_exact_match(examples, sets["s1"])
+    assert dataset_stats(iter(examples), discussions) == dataset_stats(examples, discussions)
 
 
 class TestDatasetStats:

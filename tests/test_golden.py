@@ -6,7 +6,9 @@ sha256 of every output file with ``tests/golden/digests.json``:
 - ``toml4j``: every command on the toml4j fixture, ``context`` in all
   eight representations at limits 1024 and 40;
 - ``mine-link-<seed>``: perfbench's mine-link corpus, mined through
-  perfbench's in-process fake tracker and linked through the CLI.
+  perfbench's in-process fake tracker and linked through the CLI;
+- ``score-<seed>``: perfbench's score corpus, run through the CLI stage
+  by stage as ``perfbench/run.py`` plans them.
 
 Run-logs hold wall-clock times and are not written. ``compare``'s
 ``p_value`` follows ``random.Random``'s stream, which Python keeps the same
@@ -37,7 +39,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden", "digests.json")
 TOML4J = os.path.join(HERE, "fixtures", "toml4j")
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
-MINE_LINK_SEEDS = (7, 4242)
+PERFBENCH_SEEDS = (7, 4242)
 
 
 def _cli(*argv):
@@ -85,14 +87,22 @@ def run_toml4j():
              "--out", f"out/tokens-{mode}.jsonl")
 
 
-def run_mine_link(seed):
-    """perfbench's mine-link workload at `seed`, under ``out/`` of the cwd."""
+def _perfbench():
+    """perfbench's child, corpus and run modules, imported without leaving perfbench/ on sys.path."""
     sys.path.insert(0, PERFBENCH)
     try:
         import child
         import corpus
+        import run
     finally:
-        sys.path.remove(PERFBENCH)
+        while PERFBENCH in sys.path:  # run.py puts it there too
+            sys.path.remove(PERFBENCH)
+    return child, corpus, run
+
+
+def run_mine_link(seed):
+    """perfbench's mine-link workload at `seed`, under ``out/`` of the cwd."""
+    child, corpus, _ = _perfbench()
     inp, _ = corpus.make_mine_link("in", seed)
     with open(f"in/{inp['projects']}", encoding="utf-8") as f:
         projects = [ln.strip() for ln in f if ln.strip()]
@@ -113,8 +123,19 @@ def run_mine_link(seed):
          "--dropped", "out/dropped.jsonl")
 
 
+def run_score(seed):
+    """perfbench's score workload at `seed`: each stage of run.plan_for, under ``out/`` of the cwd."""
+    _, corpus, run = _perfbench()
+    inp, _ = corpus.make_score("in", seed)
+    os.makedirs("out")
+    _, stages, _ = run.plan_for("score", inp)
+    for stage in stages:
+        _cli(*stage["argv"])
+
+
 CASES = {"toml4j": run_toml4j}
-CASES.update({f"mine-link-{seed}": lambda seed=seed: run_mine_link(seed) for seed in MINE_LINK_SEEDS})
+CASES.update({f"mine-link-{seed}": lambda seed=seed: run_mine_link(seed) for seed in PERFBENCH_SEEDS})
+CASES.update({f"score-{seed}": lambda seed=seed: run_score(seed) for seed in PERFBENCH_SEEDS})
 
 
 def digest_tree(top):

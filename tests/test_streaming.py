@@ -1,11 +1,16 @@
-"""The commands that stream examples: `link`, `context` and `segments`.
+"""The commands that stream examples: every command that reads a dataset.
 
-They hold their lookup inputs (links, discussions, descriptions, traces)
-and one example at a time, and write each output beside its target before
-moving it on. A bad example record therefore leaves no output behind and
-an earlier output whole, and `--out` may name the input itself.
+`link`, `context`, `segments` and the report commands `eval`, `compare`,
+`oracle-eval` and `stats` read their lookup inputs (links, discussions,
+descriptions, traces, candidates) first, then the examples one at a time,
+each once. `link`, `context` and `segments` hold one example at a time and
+write each output beside its target before moving it on. A bad example
+record therefore leaves no output behind and an earlier output whole, and
+`--out` may name the input itself. A report command keeps a few numbers per
+example (its outcome), never the example.
 """
 
+import contextlib
 import dataclasses
 import json
 import random
@@ -27,15 +32,19 @@ def sha(i):
     return f"{i:08x}" + "ab" * 16
 
 
-def write_corpus(root, n_examples=N_EXAMPLES, n_linked=None, vocab=None, n_discussions=N_DISCUSSIONS, repeat=1):
-    """Examples, discussions, links and descriptions under `root`.
+def write_corpus(root, n_examples=N_EXAMPLES, n_linked=None, vocab=None, n_discussions=N_DISCUSSIONS, repeat=1,
+                 n_tokens=30):
+    """Examples, discussions, links, descriptions and candidates under `root`.
 
     `examples.jsonl` carries no discussion_ids (the input of `link`);
-    `dataset.jsonl` carries them (the input of `context` and `segments`),
-    and some examples have none, so `context` skips them. Links and
-    discussions do not depend on `n_examples`; examples and links do not
-    depend on `n_discussions` (at least N_DISCUSSIONS) or on `repeat`,
-    the number of times each utterance's text is repeated.
+    `dataset.jsonl` carries them (the input of every other command), and
+    some examples have none, so `context` skips them. Links, descriptions
+    and the candidate sets `cands/a.jsonl` and `cands/b.jsonl` cover the
+    first `n_linked` examples (all by default), so with `n_linked` given
+    they do not depend on `n_examples`, nor do discussions. Examples and
+    links do not depend on `n_discussions` (at least N_DISCUSSIONS) or on
+    `repeat`, the number of times each utterance's text is repeated. Each
+    example's buggy code is `n_tokens` tokens long.
     """
     root.mkdir(parents=True, exist_ok=True)
     discussions = [
@@ -51,10 +60,11 @@ def write_corpus(root, n_examples=N_EXAMPLES, n_linked=None, vocab=None, n_discu
         for n in range(1, n_discussions + 1)
     ]
     vocab = vocab or [f"tok{j}" for j in range(40)]
-    plain, linked, descriptions = [], [], []
+    n_linked = n_examples if n_linked is None else n_linked
+    plain, linked, descriptions, cands = [], [], [], {"a": [], "b": []}
     for i in range(n_examples):
         rng = random.Random(i)
-        buggy = tuple(rng.choice(vocab) for _ in range(30))
+        buggy = tuple(rng.choice(vocab) for _ in range(n_tokens))
         ex = make_example(
             ex_id=f"e{i}",
             sha=sha(i),
@@ -66,10 +76,14 @@ def write_corpus(root, n_examples=N_EXAMPLES, n_linked=None, vocab=None, n_discu
         plain.append(ex)
         disc_id = f"demo/proj#{i % N_DISCUSSIONS + 1}"
         linked.append(dataclasses.replace(ex, discussion_ids=() if i % 5 == 4 else (disc_id,)))
+        if i >= n_linked:
+            continue
         if i % 3:
             descriptions.append({"example_id": ex.id, "discussion_id": disc_id,
                                  "description_tokens": ["use", "the", "guard"]})
-    n_linked = n_examples if n_linked is None else n_linked
+        for name, step in (("a", 2), ("b", 3)):
+            tokens = ex.fixed_tokens if i % step == 0 else buggy
+            cands[name].append({"example_id": ex.id, "candidate_tokens": tokens, "source": name})
     links = [
         {"project": "demo/proj", "issue_number": i % N_DISCUSSIONS + 1, "commit_sha": sha(i)[:10],
          "linked_at": "2014-05-20T00:00:00Z", "link_source": "message_reference"}
@@ -81,12 +95,26 @@ def write_corpus(root, n_examples=N_EXAMPLES, n_linked=None, vocab=None, n_discu
     storage.save_discussions(root / "discussions.jsonl", discussions)
     storage.write_jsonl(root / "links.jsonl", links)
     storage.write_jsonl(root / "desc.jsonl", descriptions)
+    (root / "cands").mkdir(exist_ok=True)
+    for name, rows in cands.items():
+        storage.write_jsonl(root / "cands" / f"{name}.jsonl", rows)
     return root
 
 
 def command_argv(command, root, out_dir):
-    """(argv, input path, output paths) of one streaming command."""
+    """(argv, the examples file it reads, output paths) of one streaming command."""
     discussions = str(root / "discussions.jsonl")
+    dataset = root / "dataset.jsonl"
+    reports = {
+        "eval": ["--refs", str(dataset), "--candidates", str(root / "cands" / "a.jsonl")],
+        "compare": ["--refs", str(dataset), "--a", str(root / "cands" / "a.jsonl"),
+                    "--b", str(root / "cands" / "b.jsonl"), "--samples", "100", "--size", "100"],
+        "oracle-eval": ["--refs", str(dataset), "--candidates", str(root / "cands")],
+        "stats": ["--dataset", str(dataset), "--discussions", discussions, "--desc", str(root / "desc.jsonl")],
+    }
+    if command in reports:
+        outs = [out_dir / f"{command}.json"]
+        return [command, *reports[command], "--out", str(outs[0])], dataset, outs
     if command == "link":
         outs = [out_dir / "linked.jsonl", out_dir / "dropped.jsonl"]
         argv = ["link", "--examples", str(root / "examples.jsonl"), "--links", str(root / "links.jsonl"),
@@ -168,46 +196,87 @@ def test_out_may_be_the_input_itself(tmp_path, capsys, command):
     assert temp_files(root, tmp_path) == []
 
 
-def test_link_memory_does_not_grow_with_the_examples(tmp_path, capsys):
-    """link holds the links and discussions, not the dataset.
-
-    From N to 8N examples, with the same links and discussions, link's
-    traced peak may grow by at most a quarter of what load_dataset holds
-    for the 7N extra examples, measured here on the same files.
-    """
-    n = 250
-    vocab = [f"identifier{j}" for j in range(2000)]
-    small = write_corpus(tmp_path / "small", n_examples=n, n_linked=n, vocab=vocab)
-    large = write_corpus(tmp_path / "large", n_examples=8 * n, n_linked=n, vocab=vocab)
-    assert (small / "links.jsonl").read_bytes() == (large / "links.jsonl").read_bytes()
-
-    def link(root):
-        argv, _, _ = command_argv("link", root, root)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1] - base
-
-    def held(root):
-        base = tracemalloc.get_traced_memory()[0]
-        examples = storage.load_dataset(root / "examples.jsonl")
-        size = tracemalloc.get_traced_memory()[0] - base
-        assert len(examples) in (n, 8 * n)
-        return size
-
+@contextlib.contextmanager
+def traced():
+    """tracemalloc on for the block; one already tracing is left on."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        link(small)  # warm-up: first-call caches and lazy imports
-        peak_small, peak_large = link(small), link(large)
-        extra = held(large) - held(small)
+        yield
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def peak_of(argv):
+    """Traced peak of main(argv), above what was traced when it began."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    assert main(argv) == 0
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def held_by(load, path):
+    """(len(load(path)), the traced memory its result holds), the result dropped."""
+    base = tracemalloc.get_traced_memory()[0]
+    loaded = load(path)
+    return len(loaded), tracemalloc.get_traced_memory()[0] - base
+
+
+@pytest.fixture(scope="module")
+def sized_corpora(tmp_path_factory):
+    """(small, large, extra, small's records) for test_memory_does_not_grow_with_the_examples.
+
+    The corpora have N and 8N examples and the same links, discussions,
+    descriptions and candidates; `extra` maps each dataset file's name to
+    what load_dataset holds for the 7N more examples. The small corpus's
+    records are returned so that they stay loaded while the commands run:
+    they keep the strings the commands intern in the interpreter's table of
+    interned strings. On 3.11 a dropped interned string leaves that table,
+    and refilling it now and then rebuilds it, a transient of about 1 MB in
+    a traced peak.
+    """
+    n = 250
+    vocab = [f"identifier{j}" for j in range(2000)]
+    root = tmp_path_factory.mktemp("sized")
+    small = write_corpus(root / "small", n_examples=n, n_linked=n, vocab=vocab, n_tokens=100)
+    large = write_corpus(root / "large", n_examples=8 * n, n_linked=n, vocab=vocab, n_tokens=100)
+    for name in ("links.jsonl", "desc.jsonl", "cands/a.jsonl", "cands/b.jsonl"):
+        assert (small / name).read_bytes() == (large / name).read_bytes()
+    extra = {}
+    with traced():
+        for name in ("examples.jsonl", "dataset.jsonl"):
+            (n_small, size_small), (n_large, size_large) = (held_by(storage.load_dataset, root / name)
+                                                            for root in (small, large))
+            assert (n_small, n_large) == (n, 8 * n)
+            extra[name] = size_large - size_small
+    discussions = storage.load_discussions(small / "discussions.jsonl")
+    records = [discussions, [(d.title_tokens, [u.tokens for u in d.utterances]) for d in discussions.values()],
+               storage.load_candidates(small / "cands" / "a.jsonl"), storage.load_descriptions(small / "desc.jsonl"),
+               storage.load_dataset(small / "examples.jsonl"), storage.load_dataset(small / "dataset.jsonl")]
+    return small, large, extra, records
+
+
+@pytest.mark.parametrize("command", ("link", "eval", "compare", "oracle-eval", "stats"))
+def test_memory_does_not_grow_with_the_examples(sized_corpora, capsys, command):
+    """A command holds its lookup inputs, not the dataset.
+
+    From N to 8N examples, with the same links, discussions, descriptions
+    and candidates, the command's traced peak may grow by at most a quarter
+    of what load_dataset holds for the 7N extra examples, measured on the
+    same files. The report commands keep an outcome per example (an id and
+    a flag, or a list of source names); an example's 100-token code
+    outweighs that many times over.
+    """
+    small, large, extra, _ = sized_corpora
+    (argv_small, source, _), (argv_large, _, _) = (command_argv(command, root, root) for root in (small, large))
+    assert main(argv_small) == main(argv_large) == 0  # warm-up: first-call caches, lazy imports and free lists
+    with traced():
+        peak_small, peak_large = peak_of(argv_small), peak_of(argv_large)
     capsys.readouterr()
-    assert extra > 0
-    assert peak_large - peak_small <= extra / 4, (peak_small, peak_large, extra)
+    assert extra[source.name] > 0
+    assert peak_large - peak_small <= extra[source.name] / 4, (peak_small, peak_large, extra[source.name])
 
 
 def test_link_memory_does_not_grow_with_the_discussion_text(tmp_path, capsys):
@@ -222,32 +291,16 @@ def test_link_memory_does_not_grow_with_the_discussion_text(tmp_path, capsys):
     long = write_corpus(tmp_path / "long", n_discussions=n_discussions, repeat=8 * repeat)
     for name in ("examples.jsonl", "links.jsonl"):
         assert (short / name).read_bytes() == (long / name).read_bytes()
+    argv_short, argv_long = (command_argv("link", root, root)[0] for root in (short, long))
 
-    def link(root):
-        argv, _, _ = command_argv("link", root, root)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1] - base
-
-    def held(root):
-        base = tracemalloc.get_traced_memory()[0]
-        discussions = storage.load_discussions(root / "discussions.jsonl")
-        size = tracemalloc.get_traced_memory()[0] - base
-        assert len(discussions) == n_discussions
-        return size
-
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        link(short)  # warm-up: first-call caches and lazy imports
-        peak_short, peak_long = link(short), link(long)
-        extra = held(long) - held(short)
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    with traced():
+        peak_of(argv_short)  # warm-up: first-call caches and lazy imports
+        peak_short, peak_long = peak_of(argv_short), peak_of(argv_long)
+        (n_short, held_short), (n_long, held_long) = (held_by(storage.load_discussions, root / "discussions.jsonl")
+                                                      for root in (short, long))
     capsys.readouterr()
+    assert n_short == n_long == n_discussions
+    extra = held_long - held_short
     assert extra > 0
     assert peak_long - peak_short <= extra / 4, (peak_short, peak_long, extra)
 
@@ -265,40 +318,31 @@ def test_link_memory_holds_a_key_per_link_not_its_record(tmp_path, capsys):
     large = write_corpus(tmp_path / "large", n_linked=8 * n)
     for name in ("examples.jsonl", "discussions.jsonl"):
         assert (small / name).read_bytes() == (large / name).read_bytes()
+    argv_small, argv_large = (command_argv("link", root, root)[0] for root in (small, large))
 
-    def link(root):
-        argv, _, _ = command_argv("link", root, root)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1] - base
-
-    def held(root):
-        base = tracemalloc.get_traced_memory()[0]
-        links = storage.load_links(root / "links.jsonl")
-        size = tracemalloc.get_traced_memory()[0] - base
-        assert len(links) in (n * 3 // 4, 8 * n * 3 // 4)
-        return size
-
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        link(small)  # warm-up: first-call caches and lazy imports
-        peak_small, peak_large = link(small), link(large)
-        extra = held(large) - held(small)
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    with traced():
+        peak_of(argv_small)  # warm-up: first-call caches and lazy imports
+        peak_small, peak_large = peak_of(argv_small), peak_of(argv_large)
+        (n_small, held_small), (n_large, held_large) = (held_by(storage.load_links, root / "links.jsonl")
+                                                        for root in (small, large))
     capsys.readouterr()
+    assert (n_small, n_large) == (n * 3 // 4, 8 * n * 3 // 4)
+    extra = held_large - held_small
     assert extra > 0
     assert peak_large - peak_small <= extra * 3 / 4, (peak_small, peak_large, extra)
 
 
-def test_link_reports_a_bad_links_then_discussions_then_examples_file(tmp_path, capsys):
+@pytest.mark.parametrize("command, names", [
+    ("link", ("links.jsonl", "discussions.jsonl", "examples.jsonl")),
+    ("eval", ("cands/a.jsonl", "dataset.jsonl")),
+    ("compare", ("cands/a.jsonl", "cands/b.jsonl", "dataset.jsonl")),
+    ("oracle-eval", ("cands/a.jsonl", "cands/b.jsonl", "dataset.jsonl")),
+    ("stats", ("discussions.jsonl", "desc.jsonl", "dataset.jsonl")),
+])
+def test_a_bad_lookup_input_is_reported_before_a_bad_dataset(tmp_path, capsys, command, names):
+    """With every input bad, each run reports the first input the command reads; `names` is that order."""
     root = write_corpus(tmp_path / "in")
-    argv, _, outs = command_argv("link", root, tmp_path)
-    names = ("links.jsonl", "discussions.jsonl", "examples.jsonl")
+    argv, _, outs = command_argv(command, root, tmp_path)
     for name in names:
         with (root / name).open("a", encoding="utf-8") as f:
             f.write("{oops\n")

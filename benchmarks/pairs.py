@@ -29,8 +29,10 @@ figure (its median over its iterations), and the entry gives:
 
 Each workload also gives, per side, the phases at which its runs reached
 their peak RSS (``peak_phase``) and the median VmHWM in MB after each
-phase of the run (``phase_rss_mb``, ``[phase, MB]`` in run order), so a
-``peak_rss_mb`` figure shows which phase moved.
+phase (``phase_rss_mb``, ``[phase, MB]`` in run order), so a
+``peak_rss_mb`` figure shows which phase moved. perfbench/run.py reports
+both for a run's first iteration only, so they describe first iterations,
+and ``phase_rss_mb`` is a median over the runs' first iterations.
 
 Progress goes to stderr. Exit 1 when a run fails or counts a failed
 operation, or when the two sides' output sha256 digests differ, unless
@@ -200,6 +202,7 @@ def main(argv=None):
             "reads better; sign_test_p is the one-sided exact sign test on change_wins over the untied pairs; "
             "gain is change_wins >= 9/10 of the pairs with medians further apart than the parent's quartiles; "
             "within_bound compares the medians with the metric's BENCHMARK.json bound. "
+            "peak_phase and phase_rss_mb describe each run's first iteration only, as perfbench/run.py reports them. "
             "digests_equal compares every output sha256 of every run of both sides."
         ),
         "machine_key": " / ".join(sorted(machine_keys)),

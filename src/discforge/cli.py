@@ -293,7 +293,7 @@ def _cmd_link(args) -> tuple[int, dict]:
 
 def _cmd_tokenize(args) -> tuple[int, dict]:
     tokenizer = code_tokenize if args.mode == "code" else subtokenize
-    with open(args.in_path, "r", encoding="utf-8") as fin:
+    with open(args.in_path, "r", encoding="utf-8-sig") as fin:  # a leading BOM is not part of the text
         try:
             n = storage.write_jsonl(args.out, (tokenizer(line.rstrip("\n")) for line in fin))
         except UnicodeDecodeError as exc:
@@ -312,9 +312,7 @@ def _cmd_context(args) -> tuple[int, dict]:
     with storage.jsonl_writer(args.out) as write_row, _writer(args.skipped) as write_skip:
         for ex in storage.iter_dataset(args.dataset):
             try:
-                tokens = build_context(
-                    ex, spec, discussions, descriptions=descriptions, traces=traces
-                )
+                tokens = build_context(ex, spec, discussions, descriptions=descriptions, traces=traces)
             except ContextSkip as exc:
                 write_skip({"example_id": ex.id, "reason": str(exc)})
                 n_skipped += 1
@@ -460,7 +458,7 @@ def main(argv=None) -> int:
                 "exit_code": code,
                 **details,
             }
-            run_log.write(json.dumps(entry, ensure_ascii=False) + "\n")
+            run_log.write(storage._jsonl_line(entry))
     return code
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .linking import prepare_discussions
+from .linking import _described, prepare_discussions
 from .records import (
     SEPARATOR,
     AttentionTrace,
@@ -104,9 +104,10 @@ def build_context(
 ) -> list[str]:
     """Render one example's input tokens for one representation.
 
-    `traces` maps an example id to its attended segments, as
-    storage.load_traces returns them. Raises ContextSkip when this
-    particular example lacks what the kind needs (no oracle message, no
+    `descriptions` and `traces` are as storage.load_descriptions and
+    storage.load_traces return them; only the descriptions of the
+    discussions the example keeps are rendered. Raises ContextSkip when
+    this example lacks what the kind needs (no oracle message, no
     description, no trace, no discussion) and MissingAuxInput, before
     reading anything, when a whole auxiliary input is absent.
     """
@@ -132,20 +133,12 @@ def build_context(
         nl_parts = [(None, d.utterances[-1].tokens) for d in prepared if d.utterances]
         if not nl_parts:
             raise ContextSkip("no utterance survives the temporal filter")
-    elif kind == "soln_desc":
-        by_disc = dict(descriptions.get(example.id, ()))
-        nl_parts = [(None, by_disc[d.id]) for d in prepared if d.id in by_disc]
-        if not nl_parts:
+    elif kind in ("soln_desc", "soln_desc_plus_title"):
+        described = _described(example.id, prepared, descriptions)
+        if not described:
             raise ContextSkip("no solution description")
-    elif kind == "soln_desc_plus_title":
-        by_disc = dict(descriptions.get(example.id, ()))
-        if not any(d.id in by_disc for d in prepared):
-            raise ContextSkip("no solution description")
-        nl_parts = []
-        for d in prepared:
-            if d.id in by_disc:
-                nl_parts.append((None, by_disc[d.id]))
-            nl_parts.append((None, d.title_tokens))
+        titled = kind == "soln_desc_plus_title"  # each kept discussion's description, if any, then its title
+        nl_parts = [(None, p) for d in prepared for p in (described.get(d.id, ()), d.title_tokens if titled else ())]
     elif kind == "attended_segments":
         attended = traces.get(example.id)
         if attended is None:

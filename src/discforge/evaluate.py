@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
-from .linking import prepare_discussions
+from .linking import _described, prepare_discussions
 from .records import SPLITS, EvalReport, _check_int, _percent
 from .textproc import code_tokenize
 
@@ -225,7 +225,7 @@ def _measure(ex, discussions, descriptions) -> dict:
         "tokens_title": [len(code_tokenize(d.title)) for d in prepared],
         "tokens_utterance": [len(code_tokenize(u.body_raw)) for d in prepared for u in d.utterances],
         "tokens_oracle_msg": [_code_len(ex.oracle_msg_tokens)] if ex.oracle_msg_tokens else [],
-        "tokens_description": [_code_len(t) for _, t in (descriptions or {}).get(ex.id, ())],
+        "tokens_description": [_code_len(t) for t in _described(ex.id, prepared, descriptions or {}).values()],
     }
 
 
@@ -246,11 +246,12 @@ def dataset_stats(examples, discussions, *, descriptions=None) -> dict:
     """Corpus summary, overall and per split.
 
     Utterance and discussion numbers reflect the temporal filter (content
-    at or after each example's fixing commit is not counted), so the stats
-    describe what a model could actually see. Token lengths use
-    code_tokenize over the underlying text. examples may be any iterable
-    and is read once: each example is measured as it is read, and only
-    integer sums and counts are kept, overall and for its split.
+    at or after each example's fixing commit is not counted), and only the
+    descriptions (storage.load_descriptions) of the discussions an example
+    keeps count, so the stats describe what a model could actually see.
+    Token lengths use code_tokenize over the underlying text. examples may
+    be any iterable and is read once: each example is measured as it is
+    read, and only integer sums and counts are kept, overall and per split.
     """
     totals = {
         group: {"examples": 0, "ids": set(), "sums": {key: [0, 0] for key in _AVERAGES}}

@@ -96,6 +96,12 @@ def prepare_discussions(
     )
 
 
+def _described(example_id, prepared, descriptions) -> dict:
+    """{discussion id: tokens} of the example's descriptions (storage.load_descriptions) of `prepared`, in order."""
+    mine = descriptions.get(example_id, {})
+    return {d.id: mine[d.id] for d in prepared if d.id in mine}
+
+
 def link_examples(examples, links, discussions):
     """Yield (example, discussion_ids) per example, in input order; build no record.
 

@@ -199,11 +199,16 @@ def replacing(path):
             os.remove(tmp)
 
 
+def _jsonl_line(row) -> str:
+    """`row` as one JSON Lines line, non-ASCII unescaped: the encoding of every JSONL output and run-log entry."""
+    return json.dumps(row, ensure_ascii=False) + "\n"
+
+
 @contextlib.contextmanager
 def jsonl_writer(path):
     """Yield write(row), which adds one JSON line to `path`'s replacement."""
     with replacing(path) as f:
-        yield lambda row: f.write(json.dumps(row, ensure_ascii=False) + "\n")
+        yield lambda row: f.write(_jsonl_line(row))
 
 
 def write_jsonl(path, rows) -> int:
@@ -378,16 +383,11 @@ def save_links(path, links) -> None:
     write_jsonl(path, (ln.to_dict() for ln in links))
 
 
-def load_descriptions(path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-    """Load solution descriptions (Description rows).
-
-    Returns example_id -> [(discussion_id, tokens), ...] preserving file
-    order. Several rows per example are allowed (one per discussion); the
-    same (example, discussion) pair twice is not.
-    """
+def load_descriptions(path) -> dict[str, dict[str, tuple[str, ...]]]:
+    """Description rows as example_id -> {discussion_id: tokens}, in file order; a repeated pair is rejected."""
     out = {}
     for d in _iter_keyed([path], Description.from_dict, "description for", "example_id", "discussion_id"):
-        out.setdefault(d.example_id, []).append((d.discussion_id, d.description_tokens))
+        out.setdefault(d.example_id, {})[d.discussion_id] = d.description_tokens
     return out
 
 

@@ -81,14 +81,16 @@ def corpus(tmp_path):
 
 class TestTokenize:
     def test_code_mode(self, tmp_path):
-        src = tmp_path / "in.txt"
-        src.write_text("sb.append(table);\nplain text\n", encoding="utf-8")
-        out = tmp_path / "out.jsonl"
-        assert main(["tokenize", "--mode", "code", "--in", str(src), "--out", str(out)]) == 0
-        assert jsonl(out) == [
-            ["sb", ".", "append", "(", "table", ")", ";"],
-            ["plain", "text"],
-        ]
+        """A leading byte-order mark ("utf-8-sig") is not part of the first line."""
+        for encoding in ("utf-8", "utf-8-sig"):
+            src = tmp_path / "in.txt"
+            src.write_text("sb.append(table);\nplain text\n", encoding=encoding)
+            out = tmp_path / "out.jsonl"
+            assert main(["tokenize", "--mode", "code", "--in", str(src), "--out", str(out)]) == 0
+            assert jsonl(out) == [
+                ["sb", ".", "append", "(", "table", ")", ";"],
+                ["plain", "text"],
+            ], encoding
 
     def test_subtoken_mode(self, tmp_path):
         src = tmp_path / "in.txt"

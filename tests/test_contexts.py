@@ -123,10 +123,10 @@ class TestBuildContext:
     def test_soln_desc(self, scenario):
         ex, discs = scenario
         descriptions = {
-            ex.id: [
-                ("demo/proj#1", ("desc", "one")),
-                ("demo/proj#2", ("desc", "two")),
-            ]
+            ex.id: {
+                "demo/proj#1": ("desc", "one"),
+                "demo/proj#2": ("desc", "two"),
+            }
         }
         assert build_context(ex, spec("soln_desc"), discs, descriptions=descriptions) == [
             "bug", "<s>", "m", "<s>", "desc", "two", "<s>", "desc", "one",
@@ -134,7 +134,7 @@ class TestBuildContext:
 
     def test_soln_desc_plus_title_falls_back_to_title(self, scenario):
         ex, discs = scenario
-        descriptions = {ex.id: [("demo/proj#1", ("desc", "one"))]}
+        descriptions = {ex.id: {"demo/proj#1": ("desc", "one")}}
         assert build_context(
             ex, spec("soln_desc_plus_title"), discs, descriptions=descriptions
         ) == (
@@ -253,7 +253,7 @@ class TestSeparatorLayout:
 
     def test_empty_description_vanishes(self, with_empty_utterance):
         ex, discs = with_empty_utterance
-        descriptions = {ex.id: [("demo/proj#1", ())]}
+        descriptions = {ex.id: {"demo/proj#1": ()}}
         out = build_context(
             ex, spec("soln_desc_plus_title"), discs, descriptions=descriptions
         )
@@ -289,7 +289,7 @@ class TestSeparatorLayout:
                 buggy=("a",), fixed=("z",), method=("b",), discussion_ids=tuple(discs)
             )
             descriptions = {
-                ex.id: [(i, ("d",) * rng.randrange(0, 2)) for i in discs]
+                ex.id: {i: ("d",) * rng.randrange(0, 2) for i in discs}
             }
             for kind in kinds:
                 try:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_discussion, make_example, make_utterance
+from discforge import storage
 from discforge.evaluate import (
     _binomial,
     best_exact_match,
@@ -412,12 +413,21 @@ class TestDatasetStats:
         assert valid["num_examples"] == 0
         assert valid["avg_tokens_buggy"] is None
 
-    def test_descriptions_counted_when_given(self):
-        descriptions = {"e1": [("p/q#1", ("remove", "trailing", "newlines"))]}
-        stats = dataset_stats(
-            self.examples, self.discussions, descriptions=descriptions
-        )
-        assert stats["overall"]["avg_tokens_description"] == 3.0
+    def test_descriptions_counted_when_given(self, tmp_path):
+        """Only the descriptions of the discussions an example keeps count: e1 keeps p/q#1, not p/q#2."""
+        for rows, expected in (
+            ({"p/q#1": ("remove", "trailing", "newlines")}, 3.0),
+            ({"p/q#1": ("guard",), "p/q#2": ("a", "b", "c", "d", "e")}, 1.0),
+        ):
+            path = tmp_path / "desc.jsonl"
+            storage.write_jsonl(path, (
+                {"example_id": "e1", "discussion_id": disc_id, "description_tokens": list(tokens)}
+                for disc_id, tokens in rows.items()
+            ))
+            stats = dataset_stats(
+                self.examples, self.discussions, descriptions=storage.load_descriptions(path)
+            )
+            assert stats["overall"]["avg_tokens_description"] == expected, rows
 
     def test_temporal_filter_shapes_the_numbers(self):
         # move e2's commit before d1's second comment: that comment vanishes

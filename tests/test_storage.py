@@ -365,16 +365,18 @@ def test_links_round_trip(tmp_path):
 
 def test_descriptions_round_trip(tmp_path):
     desc = {
-        "e1": [("a#1", ("remove", "newlines")), ("b#2", ("other",))],
-        "e2": [("a#1", ("fix",))],
+        "e1": {"b#2": ("remove", "newlines"), "a#1": ("other",)},
+        "e2": {"a#1": ("fix",)},
     }
     path = tmp_path / "d.jsonl"
     storage.write_jsonl(path, (
         {"example_id": ex_id, "discussion_id": disc_id, "description_tokens": list(tokens)}
         for ex_id, entries in desc.items()
-        for disc_id, tokens in entries
+        for disc_id, tokens in entries.items()
     ))
-    assert storage.load_descriptions(path) == desc
+    loaded = storage.load_descriptions(path)
+    assert loaded == desc
+    assert [list(entries) for entries in loaded.values()] == [["b#2", "a#1"], ["a#1"]]  # file order
 
 
 def test_descriptions_duplicate_pair(tmp_path):

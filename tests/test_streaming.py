@@ -224,6 +224,23 @@ def held_by(load, path):
     return len(loaded), tracemalloc.get_traced_memory()[0] - base
 
 
+def records_of(root):
+    """Every record of the corpus under `root`, with each discussion's tokens.
+
+    A test keeps its smaller corpus's records while its traced commands
+    run: they keep the strings the commands intern in the interpreter's
+    table of interned strings. On 3.11 a dropped interned string leaves
+    that table, and refilling it now and then rebuilds it, a transient of
+    about 1 MB in a traced peak, so without them a peak would depend on
+    what earlier tests left in the table.
+    """
+    discussions = storage.load_discussions(root / "discussions.jsonl")
+    return [discussions, [(d.title_tokens, [u.tokens for u in d.utterances]) for d in discussions.values()],
+            storage.load_links(root / "links.jsonl"), storage.load_candidates(root / "cands" / "a.jsonl"),
+            storage.load_descriptions(root / "desc.jsonl"), storage.load_dataset(root / "examples.jsonl"),
+            storage.load_dataset(root / "dataset.jsonl")]
+
+
 @pytest.fixture(scope="module")
 def sized_corpora(tmp_path_factory):
     """(small, large, extra, small's records) for test_memory_does_not_grow_with_the_examples.
@@ -231,11 +248,8 @@ def sized_corpora(tmp_path_factory):
     The corpora have N and 8N examples and the same links, discussions,
     descriptions and candidates; `extra` maps each dataset file's name to
     what load_dataset holds for the 7N more examples. The small corpus's
-    records are returned so that they stay loaded while the commands run:
-    they keep the strings the commands intern in the interpreter's table of
-    interned strings. On 3.11 a dropped interned string leaves that table,
-    and refilling it now and then rebuilds it, a transient of about 1 MB in
-    a traced peak.
+    records (records_of) are returned so that they stay loaded while the
+    commands run.
     """
     n = 250
     vocab = [f"identifier{j}" for j in range(2000)]
@@ -251,11 +265,7 @@ def sized_corpora(tmp_path_factory):
                                                             for root in (small, large))
             assert (n_small, n_large) == (n, 8 * n)
             extra[name] = size_large - size_small
-    discussions = storage.load_discussions(small / "discussions.jsonl")
-    records = [discussions, [(d.title_tokens, [u.tokens for u in d.utterances]) for d in discussions.values()],
-               storage.load_candidates(small / "cands" / "a.jsonl"), storage.load_descriptions(small / "desc.jsonl"),
-               storage.load_dataset(small / "examples.jsonl"), storage.load_dataset(small / "dataset.jsonl")]
-    return small, large, extra, records
+    return small, large, extra, records_of(small)
 
 
 @pytest.mark.parametrize("command", ("link", "eval", "compare", "oracle-eval", "stats"))
@@ -292,16 +302,18 @@ def test_link_memory_does_not_grow_with_the_discussion_text(tmp_path, capsys):
     for name in ("examples.jsonl", "links.jsonl"):
         assert (short / name).read_bytes() == (long / name).read_bytes()
     argv_short, argv_long = (command_argv("link", root, root)[0] for root in (short, long))
-
     with traced():
-        peak_of(argv_short)  # warm-up: first-call caches and lazy imports
-        peak_short, peak_long = peak_of(argv_short), peak_of(argv_long)
         (n_short, held_short), (n_long, held_long) = (held_by(storage.load_discussions, root / "discussions.jsonl")
                                                       for root in (short, long))
-    capsys.readouterr()
     assert n_short == n_long == n_discussions
     extra = held_long - held_short
     assert extra > 0
+
+    records = records_of(short)  # noqa: F841 (kept loaded while link runs)
+    assert main(argv_short) == main(argv_long) == 0  # warm-up: first-call caches, lazy imports and free lists
+    with traced():
+        peak_short, peak_long = peak_of(argv_short), peak_of(argv_long)
+    capsys.readouterr()
     assert peak_long - peak_short <= extra / 4, (peak_short, peak_long, extra)
 
 
@@ -319,16 +331,18 @@ def test_link_memory_holds_a_key_per_link_not_its_record(tmp_path, capsys):
     for name in ("examples.jsonl", "discussions.jsonl"):
         assert (small / name).read_bytes() == (large / name).read_bytes()
     argv_small, argv_large = (command_argv("link", root, root)[0] for root in (small, large))
-
     with traced():
-        peak_of(argv_small)  # warm-up: first-call caches and lazy imports
-        peak_small, peak_large = peak_of(argv_small), peak_of(argv_large)
         (n_small, held_small), (n_large, held_large) = (held_by(storage.load_links, root / "links.jsonl")
                                                         for root in (small, large))
-    capsys.readouterr()
     assert (n_small, n_large) == (n * 3 // 4, 8 * n * 3 // 4)
     extra = held_large - held_small
     assert extra > 0
+
+    records = records_of(small)  # noqa: F841 (kept loaded while link runs)
+    assert main(argv_small) == main(argv_large) == 0  # warm-up: first-call caches, lazy imports and free lists
+    with traced():
+        peak_small, peak_large = peak_of(argv_small), peak_of(argv_large)
+    capsys.readouterr()
     assert peak_large - peak_small <= extra * 3 / 4, (peak_small, peak_large, extra)
 
 

@@ -10,6 +10,7 @@ integer arithmetic, never floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -213,8 +214,11 @@ def _code_len(tokens) -> int:
     return len(code_tokenize(" ".join(tokens)))
 
 
-def _measure(ex, discussions, descriptions) -> dict:
-    """One example's linked discussion ids and its values for each of _AVERAGES."""
+def _measure(ex, discussions, descriptions, text_len) -> dict:
+    """One example's linked discussion ids and its values for each of _AVERAGES.
+
+    text_len(text) is the code_tokenize length of a title or utterance body.
+    """
     prepared = prepare_discussions(ex, discussions)
     return {
         "ids": [d.id for d in prepared],
@@ -222,8 +226,8 @@ def _measure(ex, discussions, descriptions) -> dict:
         "utterances_per_discussion": [len(d.utterances) for d in prepared],
         "tokens_buggy": [_code_len(ex.buggy_tokens)],
         "tokens_fixed": [_code_len(ex.fixed_tokens)],
-        "tokens_title": [len(code_tokenize(d.title)) for d in prepared],
-        "tokens_utterance": [len(code_tokenize(u.body_raw)) for d in prepared for u in d.utterances],
+        "tokens_title": [text_len(d.title) for d in prepared],
+        "tokens_utterance": [text_len(u.body_raw) for d in prepared for u in d.utterances],
         "tokens_oracle_msg": [_code_len(ex.oracle_msg_tokens)] if ex.oracle_msg_tokens else [],
         "tokens_description": [_code_len(t) for t in _described(ex.id, prepared, descriptions or {}).values()],
     }
@@ -249,16 +253,20 @@ def dataset_stats(examples, discussions, *, descriptions=None) -> dict:
     at or after each example's fixing commit is not counted), and only the
     descriptions (storage.load_descriptions) of the discussions an example
     keeps count, so the stats describe what a model could actually see.
-    Token lengths use code_tokenize over the underlying text. examples may
-    be any iterable and is read once: each example is measured as it is
-    read, and only integer sums and counts are kept, overall and per split.
+    Token lengths use code_tokenize over the underlying text; a title's or
+    utterance's length is measured once per call, however many examples
+    keep it. examples may be any iterable and is read once: each example is
+    measured as it is read, and only integer sums and counts are kept,
+    overall and per split.
     """
     totals = {
         group: {"examples": 0, "ids": set(), "sums": {key: [0, 0] for key in _AVERAGES}}
         for group in ("overall", *SPLITS)
     }
+    # One memo per call, keyed by the loaded discussions' own strings.
+    text_len = functools.cache(lambda text: len(code_tokenize(text)))
     for ex in examples:
-        row = _measure(ex, discussions, descriptions)
+        row = _measure(ex, discussions, descriptions, text_len)
         for group in (totals["overall"], totals[ex.split]):
             group["examples"] += 1
             group["ids"].update(row["ids"])

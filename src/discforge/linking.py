@@ -10,7 +10,6 @@ the fix for the link to make sense at all.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import logging
 from typing import NamedTuple
 
@@ -51,15 +50,16 @@ def temporal_filter(discussion: Discussion, cutoff: str) -> Discussion:
 
     The title survives unconditionally. Utterances are sorted by time and
     indexed 0..n-1 (Discussion guarantees both), so the survivors are a
-    prefix that keeps its indexes; last_activity_at is recomputed.
+    prefix that keeps its indexes; last_activity_at is recomputed. A cut
+    discussion is a copy of the given one that is not validated again and
+    shares its title tokens (Discussion._prefix); an uncut one is returned
+    as it is.
     """
     utts = discussion.utterances
     keep = _kept(utts, normalize_timestamp(cutoff), key=lambda u: u.created_at)
     if keep == len(utts):
         return discussion
-    return dataclasses.replace(
-        discussion, utterances=utts[:keep], last_activity_at=None
-    )
+    return discussion._prefix(keep)
 
 
 def order_discussions(discussions) -> list[Discussion]:

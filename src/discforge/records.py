@@ -18,18 +18,25 @@ Each kind of value has one checker, raising RecordError naming the field:
 A title's and an utterance's tokens (``Discussion.title_tokens``,
 ``Utterance.tokens``) are computed on first use and then kept on the
 record, so each loaded record is tokenized at most once however many
-contexts render it. Nothing is tokenized at load time.
+contexts render it; a discussion the temporal filter cuts shares its
+loaded record's title memo (``Discussion._prefix``). Nothing is tokenized
+at load time.
 
-Loaded records are compact. Every token tuple holds interned strings, the
-computed memos (``Utterance.tokens``, ``Discussion.title_tokens``) too, so
-equal tokens share one object across a corpus and its discussions; the
-interned set is bounded by the vocabulary. CPython 3.12 never frees
-interned strings (3.11 and 3.13 do), so there a process keeps every
-discussion word it has tokenized, the letter and digit runs of URLs and
-shas included, for its lifetime. ``AttentionTrace.weights`` is a tuple of
-``array('d')`` rows. An array can be written in place, so those rows are
-the one exception to immutability: nothing in this package writes them,
-and callers must not.
+Held records are compact. The storage loaders that return a container
+(``load_dataset``, ``load_discussions``, ``load_candidates``,
+``load_descriptions``) intern every string of a record's ``tuple[str,
+...]`` fields, and the computed memos intern theirs, so equal tokens
+share one object across a corpus and its discussions; the interned set
+is bounded by the vocabulary. Records validate without interning, so a
+streamed record (``storage.iter_dataset``, ``iter_discussions``) keeps
+its decoded strings. CPython 3.12 never frees interned strings (3.11
+and 3.13 do), so there a process keeps every string it has held or
+tokenized, the letter and digit runs of URLs and shas included, for its
+lifetime; a stream does not add to that table.
+
+``AttentionTrace.weights`` is a tuple of ``array('d')`` rows. An array
+can be written in place, so those rows are the one exception to
+immutability: nothing in this package writes them, and callers must not.
 A trace cannot be hashed, as was already so whenever ``meta`` was set.
 """
 
@@ -140,16 +147,20 @@ def _set(obj, name, value):
 
 
 def _check_tokens(value, field_name, *, allow_empty_list=True):
-    # Fast path: sys.intern raises TypeError on anything but an exact str,
-    # so it is the type check too. Every other case takes the loop below,
-    # which reports the error (or keeps a str subclass as it is).
-    if isinstance(value, (list, tuple)) and (value or allow_empty_list):
+    # Fast path at C speed: str.join raises TypeError on anything but a str
+    # (a subclass passes and is kept as it is), so it is the type check, and
+    # all() finds an empty token. Every other case takes the loop below,
+    # which reports the error. Nothing is interned here: the loaders that
+    # hold their records intern them (storage), while a stream keeps the
+    # decoded strings of the one record it holds.
+    if isinstance(value, (list, tuple)):
+        tokens = tuple(value)
         try:
-            tokens = tuple(map(sys.intern, value))
+            "".join(tokens)
         except TypeError:
             pass
         else:
-            if "" not in tokens:
+            if all(tokens) and (tokens or allow_empty_list):
                 return tokens
     if not isinstance(value, (list, tuple)):
         raise RecordError("expected a list of tokens", field=field_name)
@@ -296,6 +307,11 @@ class Utterance(_Record):
         return tuple(map(sys.intern, process_discussion_text(self.body_raw)))
 
 
+def _last_activity(created_at, utterances) -> str:
+    """A thread's derived last_activity_at: its latest utterance's timestamp, else the report's own."""
+    return utterances[-1].created_at if utterances else created_at
+
+
 @dataclass(frozen=True)
 class Discussion(_Record):
     """A bug report: title plus the time-ordered utterance thread.
@@ -337,7 +353,7 @@ class Discussion(_Record):
                 )
         _set(self, "utterances", utts)
 
-        derived = utts[-1].created_at if utts else self.created_at
+        derived = _last_activity(self.created_at, utts)
         if self.last_activity_at is None:
             _set(self, "last_activity_at", derived)
         else:
@@ -350,6 +366,23 @@ class Discussion(_Record):
             _set(self, "last_activity_at", declared)
 
     title_tokens = functools.cached_property(lambda self: tuple(map(sys.intern, subtokenize(self.title))))
+
+    def _prefix(self, keep):
+        """This thread cut to its first `keep` utterances, as linking.temporal_filter keeps them.
+
+        A prefix of a valid thread is valid, so the copy is made without
+        __post_init__. It shares this record's title memo, computed here if
+        need be, so a title is tokenized once however many cutoffs cut its
+        discussion.
+        """
+        self.title_tokens  # noqa: B018 (fills the memo the copy shares)
+        cut = object.__new__(type(self))
+        vars(cut).update(vars(self))
+        utts = self.utterances[:keep]
+        _set(cut, "utterances", utts)
+        _set(cut, "last_activity_at", _last_activity(self.created_at, utts))
+        return cut
+
 
 
 @dataclass(frozen=True)

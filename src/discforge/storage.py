@@ -14,10 +14,14 @@ it once they are complete (``replacing``).
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import operator
 import os
+import re
 import stat
+import sys
+import typing
 from array import array
 
 from .contexts import extract_attended_segments
@@ -30,6 +34,8 @@ from .records import (
     Discussion,
     RecordError,
     Segment,
+    _fields_of,
+    _Record,
 )
 
 TEMP_SUFFIX = ".tmp"
@@ -80,6 +86,13 @@ _space = json.decoder.WHITESPACE.match  # what json skips between tokens
 _value = json.JSONDecoder().raw_decode
 
 
+_number_cut = re.compile(r"[.eE][-+]?\d*\Z").match  # what may still continue a number at the text's end
+
+
+class _Mismatch(ValueError):
+    """A character already read is not one the trace walk accepts there: reading on cannot help."""
+
+
 def _load_trace(f):
     """json.load(f), except that each row of a top-level object's ``weights`` list is an array('d').
 
@@ -96,12 +109,15 @@ def _load_trace(f):
 
     def read(step):
         """Return step(at)'s value and move `at` past its text. While the step fails short of the end of the file,
-        drop the text before `at` and read a block more: a value counts only once the text after it is read."""
+        drop the text before `at` and read a block more: a value counts only once the text after it is read.
+        A _Mismatch is final."""
         nonlocal buf, at
         while True:
             try:
                 value, at = step(at)
                 return value
+            except _Mismatch:
+                raise
             except (ValueError, IndexError):  # a JSONDecodeError is a ValueError
                 block = f.read(_BLOCK)
                 if not block:
@@ -109,10 +125,15 @@ def _load_trace(f):
                 buf, at = buf[at:] + block, 0
 
     def token(i, chars):
-        """The next non-blank character from i, which must be one of `chars`, and the index past it."""
+        """The next non-blank character from i, which must be one of `chars`, and the index past it.
+
+        Any other character is a _Mismatch, unless the text from it to the
+        end could still continue a number before it ("1." or "2e-" cut by a
+        block's end): then the next block decides.
+        """
         i = _space(buf, i).end()
         if buf[i] not in chars:
-            raise ValueError
+            raise IndexError if _number_cut(buf, i) else _Mismatch
         return buf[i], i + 1
 
     def opening(i, bracket, close):
@@ -199,9 +220,12 @@ def replacing(path):
             os.remove(tmp)
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps(row, ensure_ascii=False) builds one per call
+
+
 def _jsonl_line(row) -> str:
     """`row` as one JSON Lines line, non-ASCII unescaped: the encoding of every JSONL output and run-log entry."""
-    return json.dumps(row, ensure_ascii=False) + "\n"
+    return _ENCODER.encode(row) + "\n"
 
 
 @contextlib.contextmanager
@@ -220,18 +244,65 @@ def write_jsonl(path, rows) -> int:
     return n
 
 
+@functools.cache
+def _string_fields(cls):
+    """(name, None) for each of cls's ``tuple[str, ...]`` fields, and (name, record type) for each tuple of records that has such fields."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in _fields_of(cls):
+        hint = hints[f.name]
+        if hint in (tuple[str, ...], tuple[str, ...] | None):
+            out.append((f.name, None))
+        elif typing.get_origin(hint) is tuple:
+            inner = typing.get_args(hint)[0]
+            if isinstance(inner, type) and issubclass(inner, _Record) and _string_fields(inner):
+                out.append((f.name, inner))
+    return tuple(out)
+
+
+def _interned(cls, obj):
+    """`obj`, a decoded JSON object of a cls record, with each ``tuple[str, ...]`` field's list replaced by a tuple of interned strings.
+
+    cls validates that tuple without copying it. A list holding anything
+    but exact strings is left as it is, for cls to report.
+    """
+    if type(obj) is dict:
+        for name, inner in _string_fields(cls):
+            value = obj.get(name)
+            if type(value) is not list:
+                continue
+            if inner is not None:
+                for item in value:
+                    _interned(inner, item)
+                continue
+            try:
+                obj[name] = tuple(map(sys.intern, value))
+            except TypeError:  # sys.intern takes exact strings only
+                pass
+    return obj
+
+
+def _holding(cls):
+    """cls.from_dict for the loaders that return a container: equal tokens across it then share one string (_interned).
+
+    Streams parse with cls.from_dict itself, keeping the decoded strings of the one record they hold.
+    """
+    return lambda obj: cls.from_dict(_interned(cls, obj))
+
+
 def iter_dataset(path):
     """Yield the bug-fix examples of a JSONL file, one line at a time.
 
     Each line is validated as it is read, and a duplicate id is rejected
-    when it is reached, so a consumer holds one example at a time.
+    when it is reached, so a consumer holds one example at a time. The
+    examples keep their decoded strings: nothing is interned.
     """
     return _iter_keyed([path], BugFixExample.from_dict, "example id", "id")
 
 
 def load_dataset(path) -> list[BugFixExample]:
-    """Load bug-fix examples from JSONL, rejecting duplicate ids."""
-    return list(iter_dataset(path))
+    """Load bug-fix examples from JSONL, rejecting duplicate ids; their tokens are interned."""
+    return list(_iter_keyed([path], _holding(BugFixExample), "example id", "id"))
 
 
 def save_dataset(path, examples) -> None:
@@ -312,14 +383,16 @@ def digest(path) -> str:
 def iter_discussions(path):
     """Yield the discussions of a JSONL file or a directory of them (one per project), one at a time.
 
-    Each line is validated as it is read, and a duplicate id is rejected when it is reached.
+    Each line is validated as it is read, and a duplicate id is rejected
+    when it is reached. Nothing is interned.
     """
     return _iter_keyed(input_files(path), Discussion.from_dict, "discussion id", "id")
 
 
 def load_discussions(path) -> dict[str, Discussion]:
-    """Load discussions, keyed by id, from a JSONL file or a directory of them (one per project)."""
-    return {d.id: d for d in iter_discussions(path)}
+    """Load discussions, keyed by id, from a JSONL file or a directory of them (one per project); utterance tokens are interned."""
+    discussions = _iter_keyed(input_files(path), _holding(Discussion), "discussion id", "id")
+    return {d.id: d for d in discussions}
 
 
 def save_discussions(path, discussions) -> None:
@@ -361,7 +434,7 @@ def load_traces(path) -> dict[str, tuple[Segment, ...]]:
 
 def load_candidates(path) -> dict[str, Candidate]:
     """Load candidate fixes, one per example id, from a JSONL file or a directory of them."""
-    candidates = _iter_keyed(input_files(path), Candidate.from_dict, "candidate for example", "example_id")
+    candidates = _iter_keyed(input_files(path), _holding(Candidate), "candidate for example", "example_id")
     return {c.example_id: c for c in candidates}
 
 
@@ -386,7 +459,7 @@ def save_links(path, links) -> None:
 def load_descriptions(path) -> dict[str, dict[str, tuple[str, ...]]]:
     """Description rows as example_id -> {discussion_id: tokens}, in file order; a repeated pair is rejected."""
     out = {}
-    for d in _iter_keyed([path], Description.from_dict, "description for", "example_id", "discussion_id"):
+    for d in _iter_keyed([path], _holding(Description), "description for", "example_id", "discussion_id"):
         out.setdefault(d.example_id, {})[d.discussion_id] = d.description_tokens
     return out
 

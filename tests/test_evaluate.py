@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_discussion, make_example, make_utterance
-from discforge import storage
+from discforge import evaluate, storage
 from discforge.evaluate import (
     _binomial,
     best_exact_match,
@@ -428,6 +428,17 @@ class TestDatasetStats:
                 self.examples, self.discussions, descriptions=storage.load_descriptions(path)
             )
             assert stats["overall"]["avg_tokens_description"] == expected, rows
+
+    def test_each_text_is_code_tokenized_once_per_call(self, monkeypatch):
+        """Both examples keep p/q#1, whose title and first comment are measured once per call;
+        no code text repeats, so every text is tokenized exactly once in each of two calls."""
+        seen = []
+        monkeypatch.setattr(evaluate, "code_tokenize", lambda text, run=evaluate.code_tokenize: (seen.append(text), run(text))[1])
+        first = dataset_stats(self.examples, self.discussions)
+        texts = list(seen)
+        assert first == dataset_stats(self.examples, self.discussions)
+        assert sorted(texts) == sorted(set(texts)) and seen == texts + texts
+        assert {"Crash on startup", "it crashes hard", "me too", "toml4j bug", "breaks"} <= set(texts)
 
     def test_temporal_filter_shapes_the_numbers(self):
         # move e2's commit before d1's second comment: that comment vanishes

@@ -14,7 +14,7 @@ from discforge.linking import (
     prepare_discussions,
     temporal_filter,
 )
-from discforge.records import BugFixExample, CommitLinkEvent, normalize_timestamp
+from discforge.records import BugFixExample, CommitLinkEvent, Discussion, Utterance, normalize_timestamp
 
 
 def disc_with_times(times, disc_id="p/q#1", number=1):
@@ -74,6 +74,33 @@ class TestTemporalFilter:
         # 12:00+02:00 is 10:00Z: equal timestamps are excluded
         out = temporal_filter(d, "2014-05-01T12:00:00+02:00")
         assert out.utterances == ()
+
+    def test_a_cut_is_the_validated_record_without_revalidating_it(self, monkeypatch):
+        """On random threads and cutoffs a cut discussion equals the record dataclasses.replace builds
+        (and validates), shares the loaded record's title tokens, and runs no __post_init__."""
+        rng = random.Random(34)
+        days = [f"2014-05-{d:02d}T{h:02d}:00:00Z" for d in range(1, 29) for h in (0, 12)]
+        threads = [
+            disc_with_times(sorted(rng.choices(days, k=rng.randrange(1, 8))), disc_id=f"p/q#{n}", number=n)
+            for n in range(1, 41)
+        ]
+        posts = []
+        for cls in (Discussion, Utterance):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, run=cls.__post_init__: (posts.append(self), run(self)))
+        cuts = 0
+        for d in threads:
+            for cutoff in rng.sample(days, 12):
+                del posts[:]
+                out = temporal_filter(d, cutoff)
+                assert posts == []
+                keep = sum(u.created_at < cutoff for u in d.utterances)
+                if keep == len(d.utterances):
+                    assert out is d
+                    continue
+                cuts += 1
+                assert out == dataclasses.replace(d, utterances=d.utterances[:keep], last_activity_at=None)
+                assert out.title_tokens is d.title_tokens
+        assert cuts > 200
 
 
 class TestOrderDiscussions:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from array import array
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -630,6 +631,41 @@ def test_check_tokens_matches_old_oracle():
         if new[0] == "ok":
             # a str subclass is kept as it is; exact strings come back equal
             assert [type(t) for t in new[1]] == [type(t) for t in old[1]], value
+
+
+def _interning_check_tokens(value, field_name, *, allow_empty_list=True):
+    """_check_tokens as it was while it interned every token it accepted."""
+    if isinstance(value, (list, tuple)) and (value or allow_empty_list):
+        try:
+            tokens = tuple(map(sys.intern, value))
+        except TypeError:
+            pass
+        else:
+            if "" not in tokens:
+                return tokens
+    return _old_check_tokens(value, field_name, allow_empty_list=allow_empty_list)
+
+
+_MIXED = [*_TOKEN_POOL, *_NOT_STRINGS, [], [[]], ["t", ["u"]], bytearray(b"t"), True, _Tok("long sub")]
+
+
+@pytest.mark.parametrize("allow", [True, False])
+def test_check_tokens_matches_the_interning_version(allow):
+    """The join fast path accepts, returns and reports exactly what the interning version did, on lists and
+    tuples mixing strings, str subclasses, empty strings, numbers, None, nested lists and bytes."""
+    rng = random.Random(34 + allow)
+    cases = [[], (), [""], ("a", ""), [_Tok("a")], [None], [b"a"], [["a"]]]
+    cases += [[rng.choice(_MIXED if rng.random() < 0.3 else _TOKEN_POOL) for _ in range(rng.randrange(6))]
+              for _ in range(4000)]
+    accepted = 0
+    for value in cases + [tuple(v) for v in cases]:
+        new = _raised(_check_tokens, value, "f", allow_empty_list=allow)
+        old = _raised(_interning_check_tokens, value, "f", allow_empty_list=allow)
+        assert new == old, value
+        if new[0] == "ok":
+            accepted += 1
+            assert [type(t) for t in new[1]] == [type(t) for t in old[1]], value
+    assert accepted > 1000
 
 
 _EDGE_SUMS = [

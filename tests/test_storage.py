@@ -1,6 +1,7 @@
 """JSONL round trips and loader error reporting."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from array import array
 import pytest
 
 from conftest import make_discussion, make_example, make_utterance
+from test_contexts import interned
 from discforge import storage
 from discforge.records import AttentionTrace, Candidate, CommitLinkEvent, RecordError, Segment
 
@@ -696,3 +698,102 @@ def test_load_traces_memory_does_not_grow_with_the_trace_count(tmp_path):
 
     two, twenty = peak(2), peak(20)
     assert twenty <= 1.5 * two, (two, twenty)
+
+
+class _CountingTrace(io.StringIO):
+    """A trace file that counts the characters read before its first seek, which starts the json.loads fallback."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.read_chars = 0
+        self.before_fallback = None
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.read_chars += len(chunk)
+        return chunk
+
+    def seek(self, *args):
+        if self.before_fallback is None:
+            self.before_fallback = self.read_chars
+        return super().seek(*args)
+
+
+@pytest.mark.parametrize("bad", ["first", "row separator"])
+def test_a_mismatch_in_the_text_read_goes_straight_to_the_fallback(bad):
+    """A character already read that the walk cannot accept is final: the reader falls back to json.loads
+    after at most one block more, not after reading to the end of the file; the error is json's own."""
+    text = _big_trace_text()
+    at = 0 if bad == "first" else text.index("], [", len(text) // 2) + 1
+    text = text[:at] + "x" + text[at + 1:]
+    f = _CountingTrace(text)
+    with pytest.raises(json.JSONDecodeError) as exc:
+        storage._load_trace(f)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    assert str(exc.value) == str(expected.value)
+    assert f.before_fallback <= at + 2 * storage._BLOCK < len(text) // 2 + 3 * storage._BLOCK, (at, f.before_fallback)
+
+
+@pytest.mark.parametrize("block", range(1, 13))
+def test_a_number_cut_by_a_block_is_read_on(monkeypatch, block):
+    """A top-level number that a block's end cuts after its '.' or its exponent's 'e' is not a mismatch:
+    the walk reads on and accepts the trace, packing its rows, at every block size."""
+    monkeypatch.setattr(storage, "_BLOCK", block)
+    text = '{"t": 0.125, "u": 25e-1, "v": 1.5E+2, "weights": [[0.25, 0.75], [1, 0]], "w": -2.0e3}'
+    f = _CountingTrace(text)
+    value = storage._load_trace(f)
+    assert f.before_fallback is None  # never sought back: the walk accepted it
+    assert _canonical(value) == _canonical(_reference_loads(text))
+    assert [type(row) for row in value["weights"]] == [array, array]
+
+
+def _fresh_words(rng, n):
+    """n distinct multi-character words built at run time, so none is interned before a loader interns it."""
+    return ["".join(rng.choice("bcdfghjklmnpqrstvwxz") for _ in range(9)) + str(i) for i in range(n)]
+
+
+def test_holding_loaders_intern_their_strings_and_streams_keep_the_decoded_ones(tmp_path):
+    """load_dataset, load_discussions, load_candidates and load_descriptions intern every string of a
+    ``tuple[str, ...]`` field, nested utterances' included; iter_dataset and iter_discussions yield equal
+    records that keep their decoded strings."""
+    words = _fresh_words(random.Random(34), 12)
+    examples = [
+        make_example(ex_id=f"e{i}", buggy=(words[0], words[i + 1]), fixed=(words[0], words[i + 2]),
+                     oracle=(words[3], words[4]), discussion_ids=(words[5],))
+        for i in range(3)
+    ]
+    discussions = [
+        make_discussion(disc_id=words[5], utterances=[make_utterance(0, tokens=(words[6], words[7]))]),
+        make_discussion(disc_id="a/b#2", number=2, utterances=[make_utterance(0, tokens=(words[7], words[8]))]),
+    ]
+    candidates = [Candidate(f"e{i}", (words[0], words[9]), "m") for i in range(3)]
+    storage.save_dataset(tmp_path / "data.jsonl", examples)
+    storage.save_discussions(tmp_path / "disc.jsonl", discussions)
+    storage.save_candidates(tmp_path / "cands.jsonl", candidates)
+    storage.write_jsonl(tmp_path / "desc.jsonl", (
+        {"example_id": f"e{i}", "discussion_id": words[5], "description_tokens": [words[10], words[11]]}
+        for i in range(3)
+    ))
+
+    streamed = list(storage.iter_dataset(tmp_path / "data.jsonl"))
+    streamed_discussions = list(storage.iter_discussions(tmp_path / "disc.jsonl"))
+    loaded = storage.load_dataset(tmp_path / "data.jsonl")
+    loaded_discussions = storage.load_discussions(tmp_path / "disc.jsonl")
+    assert streamed == loaded == examples
+    assert streamed_discussions == list(loaded_discussions.values()) == discussions
+
+    def held(ex):
+        return ex.buggy_tokens + ex.fixed_tokens + ex.method_tokens + ex.oracle_msg_tokens + ex.discussion_ids
+
+    def spoken(d):
+        return tuple(tok for u in d.utterances for tok in u.body_tokens)
+
+    tokens = [tok for ex in loaded for tok in held(ex)]
+    tokens += [tok for d in loaded_discussions.values() for tok in spoken(d)]
+    tokens += [tok for c in storage.load_candidates(tmp_path / "cands.jsonl").values() for tok in c.candidate_tokens]
+    tokens += [tok for per_example in storage.load_descriptions(tmp_path / "desc.jsonl").values()
+               for toks in per_example.values() for tok in toks]
+    assert len(tokens) == 40 and all(map(interned, tokens))
+    assert not any(interned(tok) for ex in streamed for tok in held(ex) if len(tok) > 1)
+    assert not any(interned(tok) for d in streamed_discussions for tok in spoken(d))

@@ -18,18 +18,21 @@ Each kind of value has one checker, raising RecordError naming the field:
 A title's and an utterance's tokens (``Discussion.title_tokens``,
 ``Utterance.tokens``) are computed on first use and then kept on the
 record, so each loaded record is tokenized at most once however many
-contexts render it; a discussion the temporal filter cuts shares its
-loaded record's title memo (``Discussion._prefix``). Nothing is tokenized
-at load time.
+contexts render it; a discussion the temporal filter cuts reads its
+loaded record's title memo (``Discussion._prefix``), and fills it only
+when a context renders the title. Nothing is tokenized at load time.
 
-Held records are compact. The storage loaders that return a container
-(``load_dataset``, ``load_discussions``, ``load_candidates``,
-``load_descriptions``) intern every string of a record's ``tuple[str,
-...]`` fields, and the computed memos intern theirs, so equal tokens
-share one object across a corpus and its discussions; the interned set
-is bounded by the vocabulary. Records validate without interning, so a
-streamed record (``storage.iter_dataset``, ``iter_discussions``) keeps
-its decoded strings. CPython 3.12 never frees interned strings (3.11
+Held records are compact, by one rule: every list of strings becomes a
+tuple of interned strings (``_interned``). The storage loaders that
+return a container (``load_dataset``, ``load_discussions``,
+``load_candidates``, ``load_descriptions``) apply it to each value of
+every JSON object they decode, nested utterances' included, and the
+computed memos apply it to their tokens, so equal tokens share one
+object across a corpus and its discussions; the interned set is bounded
+by the vocabulary. A list holding anything else stays a list, for
+validation to report. Records validate without interning, so a streamed
+record (``storage.iter_dataset``, ``iter_discussions``) keeps its
+decoded strings. CPython 3.12 never frees interned strings (3.11
 and 3.13 do), so there a process keeps every string it has held or
 tokenized, the letter and digit runs of URLs and shas included, for its
 lifetime; a stream does not add to that table.
@@ -151,8 +154,9 @@ def _check_tokens(value, field_name, *, allow_empty_list=True):
     # (a subclass passes and is kept as it is), so it is the type check, and
     # all() finds an empty token. Every other case takes the loop below,
     # which reports the error. Nothing is interned here: the loaders that
-    # hold their records intern them (storage), while a stream keeps the
-    # decoded strings of the one record it holds.
+    # hold their records decode each list of strings as a tuple of
+    # interned strings (_interned), which passes through without a copy,
+    # while a stream keeps the decoded strings of the one record it holds.
     if isinstance(value, (list, tuple)):
         tokens = tuple(value)
         try:
@@ -172,6 +176,14 @@ def _check_tokens(value, field_name, *, allow_empty_list=True):
     if not allow_empty_list and not value:
         raise RecordError("token list must not be empty", field=field_name)
     return tuple(value)
+
+
+def _interned(strings) -> tuple[str, ...]:
+    """`strings` as a tuple of interned strings: the one interning rule of held records and token memos.
+
+    sys.intern takes exact strings only: anything else raises TypeError.
+    """
+    return tuple(map(sys.intern, strings))
 
 
 def _check_str(value, field_name, *, allow_blank=False):
@@ -304,7 +316,7 @@ class Utterance(_Record):
         """Pre-tokenized text when present, otherwise the normalized raw body."""
         if self.body_tokens is not None:
             return self.body_tokens
-        return tuple(map(sys.intern, process_discussion_text(self.body_raw)))
+        return _interned(process_discussion_text(self.body_raw))
 
 
 def _last_activity(created_at, utterances) -> str:
@@ -365,19 +377,24 @@ class Discussion(_Record):
                 )
             _set(self, "last_activity_at", declared)
 
-    title_tokens = functools.cached_property(lambda self: tuple(map(sys.intern, subtokenize(self.title))))
+    @functools.cached_property
+    def title_tokens(self) -> tuple[str, ...]:
+        """The title's subtokens; a cut copy (_prefix) reads its loaded record's."""
+        source = vars(self).get("_source")
+        return _interned(subtokenize(self.title)) if source is None else source.title_tokens
 
     def _prefix(self, keep):
         """This thread cut to its first `keep` utterances, as linking.temporal_filter keeps them.
 
         A prefix of a valid thread is valid, so the copy is made without
-        __post_init__. It shares this record's title memo, computed here if
-        need be, so a title is tokenized once however many cutoffs cut its
-        discussion.
+        __post_init__. It keeps the loaded record it was cut from as
+        ``_source``, whose title memo its own title_tokens reads, so a
+        title is tokenized once however many cutoffs cut its discussion,
+        and only when a context renders it.
         """
-        self.title_tokens  # noqa: B018 (fills the memo the copy shares)
         cut = object.__new__(type(self))
         vars(cut).update(vars(self))
+        vars(cut).setdefault("_source", self)
         utts = self.utterances[:keep]
         _set(cut, "utterances", utts)
         _set(cut, "last_activity_at", _last_activity(self.created_at, utts))

@@ -14,14 +14,11 @@ it once they are complete (``replacing``).
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import operator
 import os
 import re
 import stat
-import sys
-import typing
 from array import array
 
 from .contexts import extract_attended_segments
@@ -34,8 +31,7 @@ from .records import (
     Discussion,
     RecordError,
     Segment,
-    _fields_of,
-    _Record,
+    _interned,
 )
 
 TEMP_SUFFIX = ".tmp"
@@ -57,12 +53,15 @@ def _descriptor(path):
     return None
 
 
-def _iter_json(path, parse, load=None):
-    """Yield parse(json.loads(line)) for each non-blank line, or, given `load`, parse(load(file)) for the one document.
+def _iter_json(path, parse, load=None, decode=json.loads):
+    """Yield parse(decode(line)) for each non-blank line, or, given `load`, parse(load(file)) for the one document.
 
     Invalid JSON and a RecordError from parse are re-raised naming the path
     and, in JSON Lines, the line; undecodable bytes name the path only,
-    because the text decoder reads ahead in blocks.
+    because the text decoder reads ahead in blocks. When `decode` is not
+    json.loads (the held loaders' _held), a line that it or parse rejects
+    is decoded again by json.loads and parsed, so its error is the one a
+    stream reports.
     """
     with open(path, "r", encoding="utf-8") as f:
         lineno = None
@@ -71,10 +70,14 @@ def _iter_json(path, parse, load=None):
                 if load is None and not source.strip():
                     continue
                 try:
-                    obj = (load or json.loads)(source)
-                except json.JSONDecodeError as exc:
-                    raise RecordError(f"invalid JSON: {exc}") from None
-                yield parse(obj)
+                    record = parse((load or decode)(source))
+                except (json.JSONDecodeError, RecordError):
+                    if decode is json.loads:
+                        raise
+                    record = parse(json.loads(source))
+                yield record
+        except json.JSONDecodeError as exc:
+            raise RecordError(f"invalid JSON: {exc}", path=path, line=lineno) from None
         except RecordError as exc:
             raise RecordError(exc.message, path=path, line=lineno, field=exc.field) from None
         except UnicodeDecodeError as exc:
@@ -244,50 +247,24 @@ def write_jsonl(path, rows) -> int:
     return n
 
 
-@functools.cache
-def _string_fields(cls):
-    """(name, None) for each of cls's ``tuple[str, ...]`` fields, and (name, record type) for each tuple of records that has such fields."""
-    hints = typing.get_type_hints(cls)
-    out = []
-    for f in _fields_of(cls):
-        hint = hints[f.name]
-        if hint in (tuple[str, ...], tuple[str, ...] | None):
-            out.append((f.name, None))
-        elif typing.get_origin(hint) is tuple:
-            inner = typing.get_args(hint)[0]
-            if isinstance(inner, type) and issubclass(inner, _Record) and _string_fields(inner):
-                out.append((f.name, inner))
-    return tuple(out)
+def _interning(obj):
+    """_held's object_hook: each list of strings among obj's values becomes a tuple of interned strings (_interned).
 
-
-def _interned(cls, obj):
-    """`obj`, a decoded JSON object of a cls record, with each ``tuple[str, ...]`` field's list replaced by a tuple of interned strings.
-
-    cls validates that tuple without copying it. A list holding anything
-    but exact strings is left as it is, for cls to report.
+    A list holding anything but exact strings stays a list, for validation
+    to report; a record validates such a tuple without copying it.
     """
-    if type(obj) is dict:
-        for name, inner in _string_fields(cls):
-            value = obj.get(name)
-            if type(value) is not list:
-                continue
-            if inner is not None:
-                for item in value:
-                    _interned(inner, item)
-                continue
+    for key, value in obj.items():
+        if type(value) is list:
             try:
-                obj[name] = tuple(map(sys.intern, value))
-            except TypeError:  # sys.intern takes exact strings only
+                obj[key] = _interned(value)
+            except TypeError:
                 pass
     return obj
 
 
-def _holding(cls):
-    """cls.from_dict for the loaders that return a container: equal tokens across it then share one string (_interned).
-
-    Streams parse with cls.from_dict itself, keeping the decoded strings of the one record they hold.
-    """
-    return lambda obj: cls.from_dict(_interned(cls, obj))
+# How the loaders that return a container decode a line, so that equal tokens across it share one string.
+# Streams decode with json.loads, keeping the decoded strings of the one record they hold.
+_held = json.JSONDecoder(object_hook=_interning).decode  # json.loads(s, object_hook=...) builds one per call
 
 
 def iter_dataset(path):
@@ -302,7 +279,7 @@ def iter_dataset(path):
 
 def load_dataset(path) -> list[BugFixExample]:
     """Load bug-fix examples from JSONL, rejecting duplicate ids; their tokens are interned."""
-    return list(_iter_keyed([path], _holding(BugFixExample), "example id", "id"))
+    return list(_iter_keyed([path], BugFixExample.from_dict, "example id", "id", decode=_held))
 
 
 def save_dataset(path, examples) -> None:
@@ -391,7 +368,7 @@ def iter_discussions(path):
 
 def load_discussions(path) -> dict[str, Discussion]:
     """Load discussions, keyed by id, from a JSONL file or a directory of them (one per project); utterance tokens are interned."""
-    discussions = _iter_keyed(input_files(path), _holding(Discussion), "discussion id", "id")
+    discussions = _iter_keyed(input_files(path), Discussion.from_dict, "discussion id", "id", decode=_held)
     return {d.id: d for d in discussions}
 
 
@@ -434,7 +411,8 @@ def load_traces(path) -> dict[str, tuple[Segment, ...]]:
 
 def load_candidates(path) -> dict[str, Candidate]:
     """Load candidate fixes, one per example id, from a JSONL file or a directory of them."""
-    candidates = _iter_keyed(input_files(path), _holding(Candidate), "candidate for example", "example_id")
+    files = input_files(path)
+    candidates = _iter_keyed(files, Candidate.from_dict, "candidate for example", "example_id", decode=_held)
     return {c.example_id: c for c in candidates}
 
 
@@ -459,7 +437,8 @@ def save_links(path, links) -> None:
 def load_descriptions(path) -> dict[str, dict[str, tuple[str, ...]]]:
     """Description rows as example_id -> {discussion_id: tokens}, in file order; a repeated pair is rejected."""
     out = {}
-    for d in _iter_keyed([path], _holding(Description), "description for", "example_id", "discussion_id"):
+    rows = _iter_keyed([path], Description.from_dict, "description for", "example_id", "discussion_id", decode=_held)
+    for d in rows:
         out.setdefault(d.example_id, {})[d.discussion_id] = d.description_tokens
     return out
 

@@ -14,7 +14,7 @@ import pytest
 
 import discforge
 from conftest import make_discussion, make_example, make_utterance
-from discforge import ingest, storage
+from discforge import ingest, records, storage
 from discforge.cli import build_parser, main
 from discforge.evaluate import paired_bootstrap
 from discforge.records import Candidate
@@ -697,6 +697,32 @@ class TestContext:
                 "--out", str(tmp_path / "x.jsonl"),
             ])
         assert exc.value.code == 2
+
+    def test_a_title_is_tokenized_only_when_rendered(self, tmp_path, monkeypatch):
+        """Three examples cut two discussions at three commit times. A representation that renders no title
+        tokenizes none; one that renders titles tokenizes each loaded title once, however many cuts share it."""
+        stamps = ["2014-05-01T10:00:00Z", "2014-05-05T10:00:00Z", "2014-05-20T10:00:00Z"]
+        discussions = [
+            make_discussion(disc_id=f"demo/proj#{n}", number=n, title=title,
+                            utterances=[make_utterance(i, stamp, f"comment {i}") for i, stamp in enumerate(stamps)])
+            for n, title in ((1, "Crash on empty input"), (2, "Parser bug"))
+        ]
+        examples = [
+            make_example(ex_id=f"e{i}", commit_ts=ts, oracle=("fix",), discussion_ids=("demo/proj#1", "demo/proj#2"))
+            for i, ts in enumerate(["2014-05-03T00:00:00Z", "2014-05-10T00:00:00Z", "2014-05-30T00:00:00Z"])
+        ]
+        storage.save_dataset(tmp_path / "dataset.jsonl", examples)
+        storage.save_discussions(tmp_path / "discussions.jsonl", discussions)
+        titles = []
+        run = records.subtokenize
+        monkeypatch.setattr(records, "subtokenize", lambda text: (titles.append(text), run(text))[1])
+        for kind, expected in (("without_nl", []), ("oracle_msg", []), ("last_utterance", []),
+                               ("title", ["Crash on empty input", "Parser bug"]),
+                               ("whole_discussion", ["Crash on empty input", "Parser bug"])):
+            del titles[:]
+            assert main(["context", "--dataset", str(tmp_path / "dataset.jsonl"), "--repr", kind,
+                         "--discussions", str(tmp_path / "discussions.jsonl"), "--out", str(tmp_path / "c.jsonl")]) == 0
+            assert len(jsonl(tmp_path / "c.jsonl")) == 3 and sorted(titles) == expected, kind
 
 
 def entries(root):

@@ -16,7 +16,16 @@ import pytest
 from conftest import make_discussion, make_example, make_utterance
 from test_contexts import interned
 from discforge import storage
-from discforge.records import AttentionTrace, Candidate, CommitLinkEvent, RecordError, Segment
+from discforge.records import (
+    AttentionTrace,
+    BugFixExample,
+    Candidate,
+    CommitLinkEvent,
+    Description,
+    Discussion,
+    RecordError,
+    Segment,
+)
 
 
 def test_dataset_round_trip(tmp_path):
@@ -756,7 +765,10 @@ def _fresh_words(rng, n):
 def test_holding_loaders_intern_their_strings_and_streams_keep_the_decoded_ones(tmp_path):
     """load_dataset, load_discussions, load_candidates and load_descriptions intern every string of a
     ``tuple[str, ...]`` field, nested utterances' included; iter_dataset and iter_discussions yield equal
-    records that keep their decoded strings."""
+    records that keep their decoded strings. On a line whose token list holds a number, null or an empty
+    string, an empty token list, an unknown key holding strings, a string field holding strings or a
+    leading BOM, each held loader gives what from_dict(json.loads(line)) and the streams give: the same
+    records, or the same RecordError (text, path, line, field)."""
     words = _fresh_words(random.Random(34), 12)
     examples = [
         make_example(ex_id=f"e{i}", buggy=(words[0], words[i + 1]), fixed=(words[0], words[i + 2]),
@@ -797,3 +809,68 @@ def test_holding_loaders_intern_their_strings_and_streams_keep_the_decoded_ones(
     assert len(tokens) == 40 and all(map(interned, tokens))
     assert not any(interned(tok) for ex in streamed for tok in held(ex) if len(tok) > 1)
     assert not any(interned(tok) for d in streamed_discussions for tok in spoken(d))
+
+    def outcome(run, path):
+        try:
+            return run(path)
+        except RecordError as exc:
+            return str(exc), exc.path, exc.line, exc.field
+
+    def from_lines(cls):
+        """A loader building each line's record with cls.from_dict(json.loads(line)), reporting as loaders do."""
+        def load(path):
+            records = []
+            for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+                try:
+                    records.append(cls.from_dict(json.loads(text)))
+                except RecordError as exc:
+                    raise RecordError(exc.message, path=path, line=line, field=exc.field) from None
+                except json.JSONDecodeError as exc:
+                    raise RecordError(f"invalid JSON: {exc}", path=path, line=line) from None
+            return records
+        return load
+
+    def edited(row, at, key, field):
+        """`row` with its token list at(row)[key] holding a number, null, an empty string, a list or nothing;
+        with an unknown key holding strings; with string field `field` holding strings; after a BOM."""
+        for value in ([words[0], 1], [words[0], None], [words[0], ""], [[words[0]]], []):
+            copy = json.loads(json.dumps(row))
+            at(copy)[key] = value
+            yield json.dumps(copy)
+        yield json.dumps({**row, "notes": [words[0], words[1]]})
+        yield json.dumps({**row, field: [words[2]]})
+        yield "\ufeff" + json.dumps(row)
+
+    def values(load):
+        return lambda path: list(load(path).values())
+
+    def top(row):
+        return row
+
+    def first_utterance(row):
+        return row["utterances"][0]
+
+    def held_descriptions(path):
+        rows = storage.load_descriptions(path).items()
+        return [Description(e, d, toks) for e, per in rows for d, toks in per.items()]
+
+    descriptions = [Description(f"e{i}", words[5], (words[10], words[11])) for i in range(2)]
+    cases = [  # held loader as a list, reference loader, (edited record, other record), token list, string field
+        (storage.load_dataset, from_lines(BugFixExample), examples[:2], top, "oracle_msg_tokens", "project"),
+        (storage.load_dataset, storage.iter_dataset, examples[:2], top, "buggy_tokens", "commit_timestamp"),
+        (values(storage.load_discussions), from_lines(Discussion), discussions, first_utterance, "body_tokens",
+         "title"),
+        (values(storage.load_discussions), storage.iter_discussions, discussions, first_utterance, "body_tokens",
+         "created_at"),
+        (values(storage.load_candidates), from_lines(Candidate), candidates[:2], top, "candidate_tokens", "source"),
+        (held_descriptions, from_lines(Description), descriptions, top, "description_tokens", "example_id"),
+    ]
+    failed = []
+    for load, reference, (first, other), at, key, field in cases:
+        for n, line in enumerate(edited(first.to_dict(), at, key, field)):
+            path = tmp_path / f"edge-{key}-{field}-{n}.jsonl"
+            path.write_text(json.dumps(other.to_dict()) + "\n" + line + "\n", encoding="utf-8")
+            want = outcome(lambda p: list(reference(p)), path)
+            assert outcome(load, path) == want, line
+            failed.append(isinstance(want, tuple))
+    assert 0 < sum(failed) < len(failed)
